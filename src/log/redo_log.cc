@@ -68,18 +68,16 @@ void RedoLog::Stop() {
   // Resolve parked acks. Stop does NOT flush (crash simulation relies on
   // that), so a waiter an earlier epoch already covered acks OK and every
   // other waiter acks non-OK — an acked-OK-but-lost commit is impossible.
-  std::vector<EpochWaiter> covered, lost;
+  std::vector<CommitAckFn> covered, lost;
   {
     std::lock_guard<std::mutex> g(mu_);
-    const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-    for (EpochWaiter& w : epoch_waiters_) {
-      (w.lsn <= durable ? covered : lost).push_back(std::move(w));
-    }
-    epoch_waiters_.clear();
+    covered = epoch_acks_.TakeCovered(
+        durable_lsn_.load(std::memory_order_relaxed));
+    lost = epoch_acks_.Close();
   }
-  for (EpochWaiter& w : covered) w.ack(Status::OK());
-  for (EpochWaiter& w : lost) {
-    w.ack(Status::Aborted("log stopped before epoch flush"));
+  for (CommitAckFn& ack : covered) ack(Status::OK());
+  for (CommitAckFn& ack : lost) {
+    ack(Status::Aborted("log stopped before epoch flush"));
   }
 }
 
@@ -118,8 +116,8 @@ void RedoLog::DrainEpoch() {
   uint64_t target = 0;
   {
     std::lock_guard<std::mutex> g(mu_);
-    if (epoch_waiters_.empty()) return;
-    target = epoch_waiters_.back().lsn;
+    if (epoch_acks_.empty()) return;
+    target = epoch_acks_.last_position();
   }
   // The whole parked batch rides one leader flush. A crash armed here loses
   // the entire un-flushed epoch atomically: no ack has fired yet, and none
@@ -128,23 +126,17 @@ void RedoLog::DrainEpoch() {
   WriteAndFlushUpTo(target);
   // Fire exactly the acks the flush made durable; on a failed/degraded
   // flush the uncovered tail stays parked for the next epoch (or Stop).
-  std::vector<EpochWaiter> fire;
+  std::vector<CommitAckFn> fire;
   {
     std::lock_guard<std::mutex> g(mu_);
-    const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-    size_t n = 0;  // waiters are in LSN order (parked under mu_)
-    while (n < epoch_waiters_.size() && epoch_waiters_[n].lsn <= durable) ++n;
-    if (n == 0) return;
-    fire.assign(std::make_move_iterator(epoch_waiters_.begin()),
-                std::make_move_iterator(epoch_waiters_.begin() +
-                                        static_cast<ptrdiff_t>(n)));
-    epoch_waiters_.erase(epoch_waiters_.begin(),
-                         epoch_waiters_.begin() + static_cast<ptrdiff_t>(n));
+    fire = epoch_acks_.TakeCovered(
+        durable_lsn_.load(std::memory_order_relaxed));
   }
+  if (fire.empty()) return;
   stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.epoch_flushes);
   metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
-  for (EpochWaiter& w : fire) w.ack(Status::OK());
+  for (CommitAckFn& ack : fire) ack(Status::OK());
 }
 
 void RedoLog::AdvanceDurableLocked(uint64_t floor) {
@@ -271,22 +263,50 @@ Status RedoLog::ForceDurable() {
 
 uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
                          std::vector<RedoOp> ops) {
+  return CommitInternal(txn_id, bytes, std::move(ops), nullptr);
+}
+
+uint64_t RedoLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
+                              std::vector<RedoOp> ops, CommitAckFn ack) {
+  return CommitInternal(txn_id, bytes, std::move(ops), &ack);
+}
+
+uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
+                                 std::vector<RedoOp> ops, CommitAckFn* ack) {
   TPROF_SCOPE("log_write_up_to");
   uint64_t my_lsn;
+  bool parked = false;
   {
     std::lock_guard<std::mutex> g(mu_);
     my_lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
     // Frame the record into the log image before the policy decides when it
     // reaches the device. LSN assignment and the append share mu_, so frame
-    // order in image_ is LSN order.
+    // order in image_ is LSN order — and so is park order.
     AppendLogFrame(my_lsn, txn_id, ops, &image_);
     records_.push_back(
         Record{txn_id, my_lsn, bytes, std::move(ops), image_.size()});
     unwritten_bytes_ += bytes;
+    parked = ack != nullptr && config_.async_commit &&
+             running_.load(std::memory_order_relaxed) &&
+             epoch_acks_.Park(my_lsn, std::move(*ack));
   }
   TDP_CRASH_POINT("redo.append");
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits);
+  if (ack != nullptr) {
+    stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
+    metrics::Inc(m_.async_commits);
+    if (!parked) {
+      // No epoch thread to cover us (never started, or Stop() closed the
+      // ledger): lead a flush ourselves and ack exactly what is durable.
+      WriteAndFlushUpTo(my_lsn);
+      const bool durable =
+          durable_lsn_.load(std::memory_order_acquire) >= my_lsn;
+      (*ack)(durable ? Status::OK()
+                     : Status::Aborted("log stopped before epoch flush"));
+    }
+    return my_lsn;
+  }
 
   switch (config_.policy) {
     case FlushPolicy::kLazyWrite:
@@ -360,44 +380,6 @@ uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
         }
       }
       break;
-  }
-  return my_lsn;
-}
-
-uint64_t RedoLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
-                              std::vector<RedoOp> ops, CommitAckFn ack) {
-  TPROF_SCOPE("log_write_up_to");
-  uint64_t my_lsn;
-  bool parked = false;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    my_lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    AppendLogFrame(my_lsn, txn_id, ops, &image_);
-    records_.push_back(
-        Record{txn_id, my_lsn, bytes, std::move(ops), image_.size()});
-    unwritten_bytes_ += bytes;
-    // Park under the same mu_ that assigned the LSN so epoch_waiters_ stays
-    // LSN-ordered. running_ is re-checked here: once Stop() has flipped it,
-    // parking would strand the ack past Stop's drain, so fall back to a
-    // synchronous flush below instead.
-    if (config_.async_commit && running_.load(std::memory_order_relaxed)) {
-      epoch_waiters_.push_back(EpochWaiter{my_lsn, std::move(ack)});
-      parked = true;
-    }
-  }
-  TDP_CRASH_POINT("redo.append");
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
-  metrics::Inc(m_.async_commits);
-  if (!parked) {
-    // No epoch thread to cover us: lead a flush ourselves and ack inline.
-    // The ack still reports exactly what is durable.
-    WriteAndFlushUpTo(my_lsn);
-    const bool durable =
-        durable_lsn_.load(std::memory_order_acquire) >= my_lsn;
-    ack(durable ? Status::OK()
-                : Status::Aborted("log stopped before epoch flush"));
   }
   return my_lsn;
 }

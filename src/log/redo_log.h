@@ -28,6 +28,7 @@
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/stats.h"
+#include "log/ack_ledger.h"
 #include "log/redo_record.h"
 
 namespace tdp::log {
@@ -178,6 +179,11 @@ class RedoLog {
     size_t image_end;  ///< End offset of this record's frame in image_.
   };
 
+  /// Appends the commit record. Without `ack` the flush policy runs; with
+  /// one, the ack parks on the epoch or, with no epoch thread running, a
+  /// synchronous flush resolves it inline.
+  uint64_t CommitInternal(uint64_t txn_id, uint64_t bytes,
+                          std::vector<RedoOp> ops, CommitAckFn* ack);
   /// Writes (if needed) and flushes everything up to the current end of log.
   /// Called by commit leaders and the background flusher. Returns non-OK
   /// only in fallback mode, when the device stalled past the deadline or a
@@ -200,7 +206,7 @@ class RedoLog {
 
   RedoLogConfig config_;
 
-  std::mutex mu_;  ///< Guards records_, image_ and the LSN advance protocol.
+  std::mutex mu_;  ///< Guards records_, image_, epoch_acks_, LSN advance.
   std::condition_variable flush_cv_;
   bool flush_in_progress_ = false;
   uint64_t unwritten_bytes_ = 0;  ///< Appended but not yet written.
@@ -209,14 +215,10 @@ class RedoLog {
   /// (an earlier committer's bytes are still in flight or failed). Drained
   /// into durable_lsn_ by AdvanceDurableLocked once the gap closes.
   std::set<uint64_t> completed_lsns_;
-  /// Commits parked on the epoch (LSN order — appended under mu_). Their
-  /// acks fire when an epoch flush covers them, or at Stop (non-OK if the
-  /// record never became durable).
-  struct EpochWaiter {
-    uint64_t lsn;
-    CommitAckFn ack;
-  };
-  std::vector<EpochWaiter> epoch_waiters_;
+  /// Commits parked on the epoch, keyed by LSN. Their acks fire when an
+  /// epoch flush covers them, or at Stop (non-OK if the record never
+  /// became durable).
+  AckLedger epoch_acks_;
   /// The framed byte image of the log "file" (docs/recovery.md). LSNs are
   /// assigned under mu_ in append order, so frame order == LSN order and
   /// records_[lsn - 1].image_end maps the durable LSN to a byte offset.

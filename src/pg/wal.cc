@@ -55,18 +55,17 @@ void WalManager::Stop() {
   // Resolve parked acks. Stop does NOT flush (crash simulation relies on
   // that): a waiter whose frame an earlier barrier covered acks OK, every
   // other waiter acks non-OK.
-  std::vector<CommitAckFn> covered, lost;
   for (std::unique_ptr<LogSet>& set : sets_) {
-    std::lock_guard<std::mutex> g(set->mu);
-    for (LogSet::EpochWaiter& w : set->epoch_waiters) {
-      (w.offset <= set->durable_bytes ? covered : lost)
-          .push_back(std::move(w.ack));
+    std::vector<CommitAckFn> covered, lost;
+    {
+      std::lock_guard<std::mutex> g(set->mu);
+      covered = set->acks.TakeCovered(set->durable_bytes);
+      lost = set->acks.Close();
     }
-    set->epoch_waiters.clear();
-  }
-  for (CommitAckFn& ack : covered) ack(Status::OK());
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Aborted("wal stopped before epoch flush"));
+    for (CommitAckFn& ack : covered) ack(Status::OK());
+    for (CommitAckFn& ack : lost) {
+      ack(Status::Aborted("wal stopped before epoch flush"));
+    }
   }
 }
 
@@ -84,10 +83,10 @@ void WalManager::EpochLoop() {
 }
 
 void WalManager::DrainEpochSet(LogSet* set) {
-  std::vector<LogSet::EpochWaiter> fire;
+  std::vector<CommitAckFn> fire;
   {
-    std::unique_lock<std::mutex> lk(set->mu);
-    if (set->epoch_waiters.empty()) return;
+    std::lock_guard<std::mutex> g(set->mu);
+    if (set->acks.empty()) return;
     // The whole parked batch rides one barrier. A crash armed here loses
     // the entire un-flushed epoch atomically: no parked ack has fired, and
     // none will fire OK unless the barrier lands.
@@ -98,23 +97,13 @@ void WalManager::DrainEpochSet(LogSet* set) {
     if (!s.ok()) set->pending_bytes += bytes;
     // Fire exactly the acks the barrier covered (all of them on success;
     // possibly an earlier-covered prefix on failure).
-    size_t n = 0;  // waiters are in frame order (parked under mu)
-    while (n < set->epoch_waiters.size() &&
-           set->epoch_waiters[n].offset <= set->durable_bytes) {
-      ++n;
-    }
-    if (n == 0) return;
-    fire.assign(std::make_move_iterator(set->epoch_waiters.begin()),
-                std::make_move_iterator(set->epoch_waiters.begin() +
-                                        static_cast<ptrdiff_t>(n)));
-    set->epoch_waiters.erase(
-        set->epoch_waiters.begin(),
-        set->epoch_waiters.begin() + static_cast<ptrdiff_t>(n));
+    fire = set->acks.TakeCovered(set->durable_bytes);
   }
+  if (fire.empty()) return;
   stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.epoch_flushes);
   metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
-  for (LogSet::EpochWaiter& w : fire) w.ack(Status::OK());
+  for (CommitAckFn& ack : fire) ack(Status::OK());
 }
 
 Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
@@ -242,10 +231,16 @@ WalManager::LogSet* WalManager::AcquireSet(size_t* index) {
 
 Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
                                        const std::vector<log::RedoOp>* ops,
-                                       uint64_t* out_lsn) {
+                                       uint64_t* out_lsn, CommitAckFn* ack) {
+  const bool epoch = ack != nullptr && config_.async_commit &&
+                     running_.load(std::memory_order_acquire);
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits);
   metrics::Inc(m_.commit_bytes, bytes);
+  if (epoch) {
+    stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
+    metrics::Inc(m_.async_commits);
+  }
 
   size_t chosen_index = 0;
   LogSet* chosen = AcquireSet(&chosen_index);
@@ -266,71 +261,35 @@ Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
     if (out_lsn != nullptr) *out_lsn = lsn;
     TDP_CRASH_POINT("wal.append");
   }
-  if (config_.degrade_on_stall &&
-      chosen->disk.StallRemainingNanos() > config_.io_retry.stall_deadline_ns) {
-    // The device is frozen past the deadline: skip the synchronous flush
-    // rather than freezing the committer with it.
+  if (epoch && chosen->acks.Park(chosen->image.size(), std::move(*ack))) {
+    // XLogInsert only: the epoch barrier does the device work later.
+    chosen->pending_bytes += bytes;
     chosen->mu.unlock();
-    stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.degraded_commits);
-    return Status::Busy("wal device stalled; synchronous flush skipped");
+    return Status::OK();
   }
-  const Status s = WriteAndFlush(chosen, bytes);
+  // Synchronous flush — also when Stop() closed the set's ledger after the
+  // running_ check above. A device frozen past the deadline is skipped
+  // rather than freezing the committer with it.
+  const bool stalled =
+      config_.degrade_on_stall &&
+      chosen->disk.StallRemainingNanos() > config_.io_retry.stall_deadline_ns;
+  const Status s =
+      stalled ? Status::Busy("wal device stalled; synchronous flush skipped")
+              : WriteAndFlush(chosen, bytes);
   chosen->mu.unlock();
   if (!s.ok()) {
     stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.degraded_commits);
   }
+  if (ack != nullptr) (*ack)(s);
   return s;
 }
 
 Status WalManager::CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
                                     const std::vector<log::RedoOp>& ops,
                                     CommitAckFn ack, uint64_t* out_lsn) {
-  if (!config_.async_commit || !running_.load(std::memory_order_acquire)) {
-    // No epoch thread to cover us: synchronous commit, ack inline. The
-    // running_ re-check under the set lock below closes the Stop race; this
-    // early check just spares the common stopped/disabled case the park.
-    Status s = ops.empty() ? CommitFlushInternal(txn_id, bytes, nullptr, out_lsn)
-                           : CommitFlushInternal(txn_id, bytes, &ops, out_lsn);
-    ack(s);
-    return Status::OK();
-  }
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
-  metrics::Inc(m_.async_commits);
-  metrics::Inc(m_.commit_bytes, bytes);
-
-  size_t chosen_index = 0;
-  LogSet* chosen = AcquireSet(&chosen_index);
-  if (chosen_index < m_.queue_depth.size()) {
-    metrics::Observe(m_.queue_depth[chosen_index],
-                     chosen->disk.queue_length());
-  }
-  if (!ops.empty()) {
-    // XLogInsert only: the epoch barrier does the device work later.
-    const uint64_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    log::AppendLogFrame(lsn, txn_id, ops, &chosen->image);
-    if (out_lsn != nullptr) *out_lsn = lsn;
-    TDP_CRASH_POINT("wal.append");
-  }
-  if (!running_.load(std::memory_order_relaxed)) {
-    // Stop() already drained this set's waiters; parking now would strand
-    // the ack. Flush synchronously instead (same path a stopped log takes).
-    const Status s = WriteAndFlush(chosen, bytes);
-    chosen->mu.unlock();
-    if (!s.ok()) {
-      stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.degraded_commits);
-    }
-    ack(s);
-    return Status::OK();
-  }
-  chosen->pending_bytes += bytes;
-  chosen->epoch_waiters.push_back(
-      LogSet::EpochWaiter{chosen->image.size(), std::move(ack)});
-  chosen->mu.unlock();
+  CommitFlushInternal(txn_id, bytes, ops.empty() ? nullptr : &ops, out_lsn,
+                      &ack);
   return Status::OK();
 }
 

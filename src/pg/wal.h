@@ -25,6 +25,7 @@
 
 #include "common/metrics.h"
 #include "common/sim_disk.h"
+#include "log/ack_ledger.h"
 #include "log/log_codec.h"
 #include "log/redo_record.h"
 
@@ -170,23 +171,21 @@ class WalManager {
     /// Async-commit payload bytes appended but not yet written; drained by
     /// the next epoch barrier on this set (guarded by mu).
     uint64_t pending_bytes = 0;
-    /// Acks parked on this set's epoch, in frame order (guarded by mu).
-    /// `offset` is the end of the commit's frame in `image`; the ack fires
-    /// OK once durable_bytes >= offset.
-    struct EpochWaiter {
-      size_t offset;
-      CommitAckFn ack;
-    };
-    std::vector<EpochWaiter> epoch_waiters;
+    /// Acks parked on this set's epoch (guarded by mu), keyed by the end
+    /// offset of the commit's frame in `image`: each fires OK once
+    /// durable_bytes covers it.
+    log::AckLedger acks;
   };
 
   /// Writes the block-aligned payload and issues the barrier, with bounded
   /// retries per operation. The caller must hold `set`'s mutex.
   Status WriteAndFlush(LogSet* set, uint64_t bytes);
 
+  /// Every commit's path. With `ack`, parks on the set's epoch while the
+  /// epoch thread runs; otherwise flushes and fires the ack inline.
   Status CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
                              const std::vector<log::RedoOp>* ops,
-                             uint64_t* out_lsn);
+                             uint64_t* out_lsn, CommitAckFn* ack = nullptr);
   /// Takes a set per the Section 6.2 protocol (free set, else fewest
   /// waiters) and returns it *locked*; `index` gets its position.
   LogSet* AcquireSet(size_t* index);

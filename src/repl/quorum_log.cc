@@ -10,6 +10,10 @@
 
 namespace tdp::repl {
 
+namespace {
+constexpr const char* kStoppedMsg = "replication stopped before quorum";
+}  // namespace
+
 QuorumLog::QuorumLog(QuorumLogConfig config) : config_(config) {
   if (config_.replicas < 1) config_.replicas = 1;
   quorum_ = config_.quorum > 0 ? config_.quorum : config_.replicas / 2 + 1;
@@ -64,25 +68,13 @@ void QuorumLog::Stop() {
   std::vector<CommitAckFn> covered, lost;
   {
     std::lock_guard<std::mutex> g(mu_);
-    const uint64_t q = quorum_lsn_.load(std::memory_order_relaxed);
-    auto it = waiters_.begin();
-    while (it != waiters_.end() && it->first <= q) {
-      covered.push_back(std::move(it->second.ack));
-      it = waiters_.erase(it);
-    }
-    for (auto& [lsn, w] : waiters_) lost.push_back(std::move(w.ack));
-    waiters_.clear();
+    covered = acks_.TakeCovered(quorum_lsn_.load(std::memory_order_relaxed));
+    lost = acks_.Close();
     metrics::GaugeAdd(m_.acks_waiting,
                       -static_cast<int64_t>(covered.size() + lost.size()));
   }
-  for (CommitAckFn& ack : covered) ack(Status::OK());
-  stats_.acks_quorum.fetch_add(covered.size(), std::memory_order_relaxed);
-  metrics::Inc(m_.acks_quorum, covered.size());
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Aborted("replication stopped before quorum"));
-  }
-  stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-  metrics::Inc(m_.acks_lost, lost.size());
+  Resolve(std::move(covered), Status::OK());
+  Resolve(std::move(lost), Status::Aborted(kStoppedMsg));
 }
 
 int QuorumLog::AliveCopiesLocked() const {
@@ -109,23 +101,11 @@ void QuorumLog::AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
   if (q > quorum_lsn_.load(std::memory_order_relaxed)) {
     quorum_lsn_.store(q, std::memory_order_release);
   }
-  const uint64_t quorum_lsn = quorum_lsn_.load(std::memory_order_relaxed);
-  size_t moved = 0;
-  auto it = waiters_.begin();
-  while (it != waiters_.end() && it->first <= quorum_lsn) {
-    fire->push_back(std::move(it->second.ack));
-    it = waiters_.erase(it);
-    ++moved;
-  }
+  *fire = acks_.TakeCovered(quorum_lsn_.load(std::memory_order_relaxed));
   if (!quorum_lost_ && AliveCopiesLocked() < quorum_) quorum_lost_ = true;
-  if (quorum_lost_) {
-    for (auto& [lsn, w] : waiters_) {
-      lost->push_back(std::move(w.ack));
-      ++moved;
-    }
-    waiters_.clear();
-  }
-  metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(moved));
+  if (quorum_lost_) *lost = acks_.TakeCovered(UINT64_MAX);
+  metrics::GaugeAdd(m_.acks_waiting,
+                    -static_cast<int64_t>(fire->size() + lost->size()));
 }
 
 void QuorumLog::FireAcks(std::vector<CommitAckFn> fire,
@@ -143,18 +123,27 @@ void QuorumLog::FireAcks(std::vector<CommitAckFn> fire,
       fire.clear();
     }
   }
-  for (CommitAckFn& ack : fire) ack(Status::OK());
-  if (!fire.empty()) {
-    stats_.acks_quorum.fetch_add(fire.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_quorum, fire.size());
-  }
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Unavailable("quorum unreachable; retry"));
-  }
-  if (!lost.empty()) {
-    stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_lost, lost.size());
-  }
+  Resolve(std::move(fire), Status::OK());
+  Resolve(std::move(lost), Status::Unavailable("quorum unreachable; retry"));
+}
+
+void QuorumLog::Resolve(std::vector<CommitAckFn> acks, const Status& s) {
+  if (acks.empty()) return;
+  for (CommitAckFn& ack : acks) ack(s);
+  std::atomic<uint64_t>& counted = s.ok() ? stats_.acks_quorum
+                                          : stats_.acks_lost;
+  counted.fetch_add(acks.size(), std::memory_order_relaxed);
+  metrics::Inc(s.ok() ? m_.acks_quorum : m_.acks_lost, acks.size());
+}
+
+bool QuorumLog::AdvanceAndFire(std::unique_lock<std::mutex>* lk) {
+  std::vector<CommitAckFn> fire, lost;
+  AdvanceQuorumLocked(&fire, &lost);
+  if (fire.empty() && lost.empty()) return false;
+  lk->unlock();
+  FireAcks(std::move(fire), std::move(lost));
+  lk->lock();
+  return true;
 }
 
 void QuorumLog::OnLeaderAdvance() {
@@ -184,22 +173,25 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
       txn_id, bytes, std::move(ops), [this](const Status&) {
         OnLeaderAdvance();
       });
-  std::vector<CommitAckFn> fire, lost;
+  std::vector<CommitAckFn> fire, lost, refused;
   {
     std::lock_guard<std::mutex> g(mu_);
     if (lsn <= quorum_lsn_.load(std::memory_order_relaxed)) {
       // The quorum already covers us (the internal ack can fire before
       // CommitAsync returns on the synchronous fallback path).
       fire.push_back(std::move(ack));
-    } else {
-      waiters_.emplace(lsn, Waiter{std::move(ack)});
+    } else if (acks_.Park(lsn, std::move(ack))) {
       metrics::GaugeAdd(m_.acks_waiting, 1);
       // Re-check immediately: the quorum may have advanced past `lsn`
       // between the leader append and the park, and a latched quorum loss
       // must bounce new commits instead of stranding them.
       AdvanceQuorumLocked(&fire, &lost);
+    } else {
+      // Stop() closed the ledger: no shipper is left to cover us.
+      refused.push_back(std::move(ack));
     }
   }
+  Resolve(std::move(refused), Status::Aborted(kStoppedMsg));
   FireAcks(std::move(fire), std::move(lost));
   return lsn;
 }
@@ -221,9 +213,9 @@ uint64_t QuorumLog::Commit(uint64_t txn_id, uint64_t bytes,
         st->cv.notify_all();
       });
   std::unique_lock<std::mutex> lk(st->m);
-  // The ack always fires: inline when covered, from a shipper or the epoch
-  // thread when the quorum advances, from the quorum-lost resolution, or
-  // from Stop. No timeout needed.
+  // The ack always fires: inline when covered or already stopped, from a
+  // shipper or the epoch thread when the quorum advances, from the
+  // quorum-lost resolution, or from Stop. No timeout needed.
   st->cv.wait(lk, [&] { return st->fired; });
   if (durable != nullptr) *durable = st->s;
   return lsn;
@@ -246,14 +238,7 @@ void QuorumLog::ShipperLoop(size_t idx) {
       // Nothing to ship (idle, fully caught up, or dark replica). Re-check
       // liveness so a lost quorum resolves parked acks promptly, then nap
       // until the leader advances or the retry interval elapses.
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
-      if (!fire.empty() || !lost.empty()) {
-        lk.unlock();
-        FireAcks(std::move(fire), std::move(lost));
-        lk.lock();
-        continue;
-      }
+      if (AdvanceAndFire(&lk)) continue;
       ship_cv_.wait_for(
           lk, std::chrono::nanoseconds(config_.ship_retry_interval_ns));
       continue;
@@ -277,23 +262,13 @@ void QuorumLog::ShipperLoop(size_t idx) {
     }
     if (s.ok()) {
       ship_offsets_[idx] = from + chunk.size();
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
-      lk.unlock();
-      FireAcks(std::move(fire), std::move(lost));
-      lk.lock();
+      AdvanceAndFire(&lk);
     } else {
       // Failed ship (dark replica, torn replica flush): the replica kept
       // its watermark, so re-anchor there and retry after a pause instead
       // of hammering a dead device.
       ship_offsets_[idx] = replica.durable_bytes();
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
-      if (!fire.empty() || !lost.empty()) {
-        lk.unlock();
-        FireAcks(std::move(fire), std::move(lost));
-        lk.lock();
-      }
+      AdvanceAndFire(&lk);
       ship_cv_.wait_for(
           lk, std::chrono::nanoseconds(config_.ship_retry_interval_ns));
     }
@@ -317,25 +292,14 @@ uint64_t QuorumLog::Failover() {
     // Commits beyond the quorum LSN are undecided across the election —
     // bounce them as Unavailable so clients ride through on retry
     // (RetryPolicy.retry_unavailable) rather than waiting out the window.
-    auto it = waiters_.begin();
-    size_t moved = 0;
-    while (it != waiters_.end()) {
-      lost.push_back(std::move(it->second.ack));
-      it = waiters_.erase(it);
-      ++moved;
-    }
-    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(moved));
+    lost = acks_.TakeCovered(UINT64_MAX);
+    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(lost.size()));
     // A new term restores service if a quorum of copies is back.
     if (quorum_lost_ && AliveCopiesLocked() >= quorum_) quorum_lost_ = false;
   }
   ship_cv_.notify_all();
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Unavailable("leader failover in progress; retry"));
-  }
-  if (!lost.empty()) {
-    stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_lost, lost.size());
-  }
+  Resolve(std::move(lost),
+          Status::Unavailable("leader failover in progress; retry"));
   return new_term;
 }
 
@@ -350,29 +314,23 @@ Status QuorumLog::CatchUpReplicas() {
     const Status s = r->CatchUp(term, image, durable_lsn);
     if (!s.ok() && first.ok()) first = s;
   }
-  std::vector<CommitAckFn> fire, lost;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      ship_offsets_[i] = std::max(ship_offsets_[i],
-                                  replicas_[i]->durable_bytes());
-    }
-    AdvanceQuorumLocked(&fire, &lost);
+  std::unique_lock<std::mutex> lk(mu_);
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    ship_offsets_[i] = std::max(ship_offsets_[i],
+                                replicas_[i]->durable_bytes());
   }
-  FireAcks(std::move(fire), std::move(lost));
+  AdvanceAndFire(&lk);
   return first;
 }
 
 void QuorumLog::KillReplica(int i) {
   if (i < 1 || static_cast<size_t>(i) > replicas_.size()) return;
   replicas_[static_cast<size_t>(i) - 1]->Kill();
-  std::vector<CommitAckFn> fire, lost;
   {
-    std::lock_guard<std::mutex> g(mu_);
-    AdvanceQuorumLocked(&fire, &lost);  // detect a lost quorum promptly
+    std::unique_lock<std::mutex> lk(mu_);
+    AdvanceAndFire(&lk);  // detect a lost quorum promptly
   }
   ship_cv_.notify_all();
-  FireAcks(std::move(fire), std::move(lost));
 }
 
 void QuorumLog::ReviveReplica(int i) {

@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -42,6 +41,7 @@
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/status.h"
+#include "log/ack_ledger.h"
 #include "log/redo_log.h"
 #include "log/redo_record.h"
 #include "repl/replica.h"
@@ -94,8 +94,8 @@ class QuorumLog {
   /// Appends through the leader's log (same LSN, same epoch batching) and
   /// parks `ack` until the frame is durable on a quorum of copies. The ack
   /// fires exactly once, off this thread (epoch/shipper) or inline when the
-  /// quorum already covers the frame; non-OK when the log stops or the
-  /// quorum becomes unreachable first.
+  /// quorum already covers the frame or the log is stopped; non-OK when the
+  /// log stops or the quorum becomes unreachable first.
   uint64_t CommitAsync(uint64_t txn_id, uint64_t bytes,
                        std::vector<log::RedoOp> ops, CommitAckFn ack);
 
@@ -148,21 +148,24 @@ class QuorumLog {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Waiter {
-    CommitAckFn ack;
-  };
-
   void ShipperLoop(size_t idx);
   /// Called on every leader durability signal (epoch/inline commit acks).
   void OnLeaderAdvance();
-  /// Recomputes the quorum LSN from all K durable watermarks and moves the
-  /// covered waiters into `fire`. Resolves everything as lost when fewer
-  /// than `quorum_` copies are still serving. Caller holds mu_.
+  /// Recomputes the quorum LSN from all K durable watermarks and fills
+  /// `fire` (empty on entry) with the covered acks. Fills `lost` with every
+  /// other parked ack when fewer than `quorum_` copies are still serving.
+  /// Caller holds mu_.
   void AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
                            std::vector<CommitAckFn>* lost);
   /// Fires the two lists outside mu_ (OK / Unavailable), with the
   /// repl.pre_ack crash point ahead of the OK batch.
   void FireAcks(std::vector<CommitAckFn> fire, std::vector<CommitAckFn> lost);
+  /// AdvanceQuorumLocked, then FireAcks with `lk` (on mu_) released.
+  /// Returns whether any ack fired.
+  bool AdvanceAndFire(std::unique_lock<std::mutex>* lk);
+  /// Fires every ack in `acks` with `s` and counts them as acks_quorum (OK)
+  /// or acks_lost (non-OK). Caller does not hold mu_.
+  void Resolve(std::vector<CommitAckFn> acks, const Status& s);
   int AliveCopiesLocked() const;
 
   QuorumLogConfig config_;
@@ -170,7 +173,7 @@ class QuorumLog {
   std::vector<std::unique_ptr<Replica>> replicas_;
 
   mutable std::mutex mu_;
-  std::map<uint64_t, Waiter> waiters_;  ///< Parked acks by LSN.
+  log::AckLedger acks_;  ///< Parked client acks by LSN (closed by Stop).
   std::atomic<uint64_t> term_{1};
   std::atomic<uint64_t> quorum_lsn_{0};
   std::atomic<uint64_t> leader_durable_lsn_{0};

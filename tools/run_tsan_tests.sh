@@ -26,6 +26,7 @@ TESTS=(
   buffer_pool_test
   llu_test
   redo_log_test
+  ack_ledger_test
   wal_test
   recovery_test
   pg_recovery_test
