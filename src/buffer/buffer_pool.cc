@@ -29,22 +29,24 @@ BufferPool::BufferPool(BufferPoolConfig config)
     : config_(config),
       generation_(g_pool_generation.fetch_add(1)),
       table_(config.hash_buckets > 0 ? config.hash_buckets
-                                     : kDefaultHashBuckets) {
+                                     : kDefaultHashBuckets),
+      counters_({
+          {"buf.hits", &stats_.hits},
+          {"buf.misses", &stats_.misses},
+          {"buf.evictions", &stats_.evictions},
+          {"buf.dirty_writebacks", &stats_.dirty_writebacks},
+          {"buf.make_young", &stats_.make_young},
+          // Every LLU spin timeout defers exactly one reorder.
+          {"buf.llu.spin_timeouts", &stats_.llu_deferred},
+          {"buf.llu.deferred", &stats_.llu_deferred},
+          {"buf.llu.drained", &stats_.llu_drained},
+          {"buf.llu.dropped", &stats_.llu_dropped},
+          {"buf.io_retries", &stats_.io_retries},
+          {"buf.read_failures", &stats_.read_failures},
+          {"buf.writeback_failures", &stats_.writeback_failures},
+      }),
+      llu_backlog_(metrics::Registry::Global().GetGauge("buf.llu.backlog")) {
   assert(config_.capacity_pages > 0);
-  auto& reg = metrics::Registry::Global();
-  m_.hits = reg.GetCounter("buf.hits");
-  m_.misses = reg.GetCounter("buf.misses");
-  m_.evictions = reg.GetCounter("buf.evictions");
-  m_.dirty_writebacks = reg.GetCounter("buf.dirty_writebacks");
-  m_.make_young = reg.GetCounter("buf.make_young");
-  m_.llu_spin_timeouts = reg.GetCounter("buf.llu.spin_timeouts");
-  m_.llu_deferred = reg.GetCounter("buf.llu.deferred");
-  m_.llu_drained = reg.GetCounter("buf.llu.drained");
-  m_.llu_dropped = reg.GetCounter("buf.llu.dropped");
-  m_.io_retries = reg.GetCounter("buf.io_retries");
-  m_.read_failures = reg.GetCounter("buf.read_failures");
-  m_.writeback_failures = reg.GetCounter("buf.writeback_failures");
-  m_.llu_backlog = reg.GetGauge("buf.llu.backlog");
 }
 
 BufferPool::~BufferPool() {
@@ -59,7 +61,7 @@ std::vector<PageId>& BufferPool::Backlog() {
     // Entries deferred against another pool are abandoned here; retire them
     // from the (process-wide) backlog gauge so it keeps matching the number
     // of entries that can still be drained.
-    metrics::GaugeAdd(m_.llu_backlog,
+    metrics::GaugeAdd(llu_backlog_,
                       -static_cast<int64_t>(t_backlog.ids.size()));
     t_backlog.pool = this;
     t_backlog.gen = generation_;
@@ -137,9 +139,8 @@ void BufferPool::DrainBacklogLocked() {
     // (eviction requires this lock).
     MoveToYoungHeadLocked(frame);
     stats_.llu_drained.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.llu_drained);
   }
-  metrics::GaugeAdd(m_.llu_backlog, -static_cast<int64_t>(backlog.size()));
+  metrics::GaugeAdd(llu_backlog_, -static_cast<int64_t>(backlog.size()));
   backlog.clear();
 }
 
@@ -155,19 +156,16 @@ void BufferPool::MakeYoung(Frame* frame) {
   }
   if (!locked) {
     // LLU: abandon the reorder, remember it for later.
-    metrics::Inc(m_.llu_spin_timeouts);
     std::vector<PageId>& backlog = Backlog();
     if (backlog.size() >= config_.llu_backlog_max) {
       backlog.erase(backlog.begin());
       stats_.llu_dropped.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.llu_dropped);
       // Drop + push is net zero on the backlog gauge.
     } else {
-      metrics::GaugeAdd(m_.llu_backlog, 1);
+      metrics::GaugeAdd(llu_backlog_, 1);
     }
     backlog.push_back(frame->id);
     stats_.llu_deferred.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.llu_deferred);
     return;
   }
   {
@@ -176,7 +174,6 @@ void BufferPool::MakeYoung(Frame* frame) {
     MoveToYoungHeadLocked(frame);
     SpinFor(config_.lru_critical_work_ns);
     stats_.make_young.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.make_young);
   }
   LruUnlock();
 }
@@ -241,14 +238,12 @@ Status BufferPool::Fetch(PageId id) {
     }
     if (hit != nullptr) {
       stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.hits);
       if (was_old) MakeYoung(hit);
       return Status::OK();
     }
     break;  // inserted a fresh io-fixed frame; fall through to the miss path
   }
   stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.misses);
 
   // Make room. Eviction uses a blocking LRU acquisition even in LLU mode
   // (LLU only bounds the make-young reorder).
@@ -265,10 +260,8 @@ Status BufferPool::Fetch(PageId id) {
     }
     if (victim == nullptr) break;  // everything pinned; tolerate overshoot
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.evictions);
     if (victim->dirty) {
       stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.dirty_writebacks);
       if (config_.disk) {
         int attempts = 0;
         Status ws = RetryIo(
@@ -278,14 +271,12 @@ Status BufferPool::Fetch(PageId id) {
         if (attempts > 1) {
           stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
                                       std::memory_order_relaxed);
-          metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
         }
         // A writeback that exhausts its retries drops the page's dirty data
         // (the redo log is the durability story); count it and move on
         // rather than wedging eviction behind a broken device.
         if (!ws.ok()) {
           stats_.writeback_failures.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.writeback_failures);
         }
       }
     }
@@ -302,13 +293,11 @@ Status BufferPool::Fetch(PageId id) {
     if (attempts > 1) {
       stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
                                   std::memory_order_relaxed);
-      metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
     }
     if (!rs.ok()) {
       // The frame never became readable: unpublish it so waiters blocked on
       // io_fixed restart with a fresh miss instead of seeing garbage.
       stats_.read_failures.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.read_failures);
       table_.EraseIf(id, [&](Frame*& entry) {
         entry->erased = true;
         return true;

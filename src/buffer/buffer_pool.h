@@ -220,28 +220,14 @@ class BufferPool {
   std::atomic<size_t> resident_{0};
 
   Stats stats_;
-  // Registry handles, interned at construction (null when metrics are
-  // disarmed or compiled out). `buf.llu.backlog` is a gauge over *all*
-  // threads' deferred entries: +1 per defer, -size on drain, net zero on an
-  // overflow drop, and adjusted when a thread's backlog is invalidated by a
-  // pool switch — so its instantaneous value is the live backlog depth and
-  // its watermark bounds the worst case.
-  struct MetricHandles {
-    metrics::Counter* hits = nullptr;
-    metrics::Counter* misses = nullptr;
-    metrics::Counter* evictions = nullptr;
-    metrics::Counter* dirty_writebacks = nullptr;
-    metrics::Counter* make_young = nullptr;
-    metrics::Counter* llu_spin_timeouts = nullptr;
-    metrics::Counter* llu_deferred = nullptr;
-    metrics::Counter* llu_drained = nullptr;
-    metrics::Counter* llu_dropped = nullptr;
-    metrics::Counter* io_retries = nullptr;
-    metrics::Counter* read_failures = nullptr;
-    metrics::Counter* writeback_failures = nullptr;
-    metrics::Gauge* llu_backlog = nullptr;
-  };
-  MetricHandles m_;
+  /// Publishes stats_ as the buf.* counters (declared after stats_).
+  const metrics::CounterSources counters_;
+  // `buf.llu.backlog` is a gauge over *all* threads' deferred entries: +1
+  // per defer, -size on drain, net zero on an overflow drop, and adjusted
+  // when a thread's backlog is invalidated by a pool switch — so its
+  // instantaneous value is the live backlog depth and its watermark bounds
+  // the worst case.
+  metrics::Gauge* const llu_backlog_;
 };
 
 }  // namespace tdp::buffer

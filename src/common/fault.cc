@@ -23,22 +23,21 @@ const char* FaultKindName(FaultKind k) {
 FaultInjector::FaultInjector() : FaultInjector(std::vector<FaultEvent>{}) {}
 
 FaultInjector::FaultInjector(std::vector<FaultEvent> schedule)
-    : schedule_(std::move(schedule)) {
-  auto& reg = metrics::Registry::Global();
-  m_.spikes = reg.GetCounter("fault.spikes");
-  m_.stalls = reg.GetCounter("fault.stalls");
-  m_.write_errors = reg.GetCounter("fault.write_errors");
-  m_.torn_flushes = reg.GetCounter("fault.torn_flushes");
-  m_.read_errors = reg.GetCounter("fault.read_errors");
-  m_.crashes = reg.GetCounter("fault.crashes");
-  m_.disk_darks = reg.GetCounter("fault.disk_darks");
-}
+    : schedule_(std::move(schedule)),
+      counters_({
+          {"fault.spikes", &stats_.spikes},
+          {"fault.stalls", &stats_.stalls},
+          {"fault.write_errors", &stats_.write_errors},
+          {"fault.torn_flushes", &stats_.torn_flushes},
+          {"fault.read_errors", &stats_.read_errors},
+          {"fault.crashes", &stats_.crashes},
+          {"fault.disk_darks", &stats_.disk_darks},
+      }) {}
 
 void NoteIoRetries(int extra_attempts) {
   if (extra_attempts <= 0) return;
   // Function-local so the registry lookup happens once per process, not per
-  // retry; a process that disarms the registry before any I/O sees nullptr
-  // here forever, which Inc tolerates.
+  // retry.
   static metrics::Counter* const retries =
       metrics::Registry::Global().GetCounter("io.retries");
   metrics::Inc(retries, static_cast<uint64_t>(extra_attempts));
@@ -166,7 +165,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
       case FaultKind::kLatencySpike:
         p.latency_multiplier *= std::max(e.magnitude, 1.0);
         stats_.spikes.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.spikes);
         break;
       case FaultKind::kStall: {
         const int64_t until =
@@ -174,7 +172,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
             e.duration_ns;
         p.stall_until_ns = std::max(p.stall_until_ns, until);
         stats_.stalls.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.stalls);
         break;
       }
       case FaultKind::kWriteError:
@@ -188,7 +185,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
             p.fail = true;
             p.written_fraction = 0.0;  // nothing reached the medium
             stats_.write_errors.fetch_add(1, std::memory_order_relaxed);
-            metrics::Inc(m_.write_errors);
           }
         }
         break;
@@ -203,7 +199,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
             p.fail = true;
             p.written_fraction = 0.0;
             stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
-            metrics::Inc(m_.read_errors);
           }
         }
         break;
@@ -213,7 +208,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
           p.written_fraction =
               std::clamp(e.magnitude, 0.0, 1.0);
           stats_.torn_flushes.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.torn_flushes);
         }
         break;
       case FaultKind::kCrash:
@@ -223,7 +217,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
         p.fail = true;
         p.written_fraction = std::clamp(e.magnitude, 0.0, 1.0);
         stats_.crashes.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.crashes);
         CrashPoints::Global().Trigger("fault.crash");
         break;
       case FaultKind::kDiskDark:
@@ -232,7 +225,6 @@ FaultInjector::Perturbation FaultInjector::Evaluate(IoOp op, int64_t now_ns) {
         p.fail = true;
         p.written_fraction = std::clamp(e.magnitude, 0.0, 1.0);
         stats_.disk_darks.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.disk_darks);
         dark_.store(true, std::memory_order_release);
         break;
     }

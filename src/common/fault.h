@@ -180,18 +180,9 @@ class FaultInjector {
   mutable std::mutex rng_mu_;
   Rng rng_{0xFA517EC7ull};
   Stats stats_;
-  // Registry mirrors of stats_ under fault.* (null when metrics are
-  // disarmed or compiled out); all injectors in a process share them.
-  struct MetricHandles {
-    metrics::Counter* spikes = nullptr;
-    metrics::Counter* stalls = nullptr;
-    metrics::Counter* write_errors = nullptr;
-    metrics::Counter* torn_flushes = nullptr;
-    metrics::Counter* read_errors = nullptr;
-    metrics::Counter* crashes = nullptr;
-    metrics::Counter* disk_darks = nullptr;
-  };
-  MetricHandles m_;
+  /// Publishes stats_ under fault.*; all injectors in a process sum into
+  /// the same names (declared after stats_).
+  const metrics::CounterSources counters_;
 };
 
 /// Feeds the process-wide `io.retries` counter — total extra I/O attempts

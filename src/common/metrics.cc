@@ -1,5 +1,9 @@
 #include "common/metrics.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
 namespace tdp::metrics {
 
 void Gauge::Set(int64_t x) {
@@ -48,49 +52,77 @@ Registry& Registry::Global() {
   return *g;
 }
 
-Counter* Registry::GetCounter(const std::string& name) {
-#ifdef TDP_METRICS_DISABLED
-  (void)name;
-  return nullptr;
-#else
-  if (!armed()) return nullptr;
-  std::lock_guard<std::mutex> g(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
+namespace {
+
+[[noreturn]] void MixedOwnership(const std::string& name) {
+  std::fprintf(stderr,
+               "metrics: counter '%s' is both registry-owned and "
+               "instance-owned\n",
+               name.c_str());
+  std::abort();
+}
+
+template <typename T>
+T* Intern(std::map<std::string, std::unique_ptr<T>>& map,
+          const std::string& name) {
+  auto& slot = map[name];
+  if (!slot) slot = std::make_unique<T>();
   return slot.get();
-#endif
+}
+
+}  // namespace
+
+uint64_t Registry::CounterSlot::Total() const {
+  uint64_t t = retired + (owned ? owned->value() : 0);
+  for (const auto* s : sources) t += s->load(std::memory_order_relaxed);
+  return t;
+}
+
+Counter* Registry::GetCounter(const std::string& name) {
+  std::lock_guard<std::mutex> g(mu_);
+  CounterSlot& slot = counters_[name];
+  if (slot.instance_owned) MixedOwnership(name);
+  if (!slot.owned) slot.owned = std::make_unique<Counter>();
+  return slot.owned.get();
 }
 
 Gauge* Registry::GetGauge(const std::string& name) {
-#ifdef TDP_METRICS_DISABLED
-  (void)name;
-  return nullptr;
-#else
-  if (!armed()) return nullptr;
   std::lock_guard<std::mutex> g(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-#endif
+  return Intern(gauges_, name);
 }
 
 Histogram* Registry::GetHistogram(const std::string& name) {
-#ifdef TDP_METRICS_DISABLED
-  (void)name;
-  return nullptr;
-#else
-  if (!armed()) return nullptr;
   std::lock_guard<std::mutex> g(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return slot.get();
-#endif
+  return Intern(histograms_, name);
+}
+
+void Registry::Attach(const std::vector<CounterSource>& sources) {
+  std::lock_guard<std::mutex> g(mu_);
+  for (const auto& [name, src] : sources) {
+    CounterSlot& slot = counters_[name];
+    if (slot.owned) MixedOwnership(name);
+    slot.instance_owned = true;
+    slot.sources.push_back(src);
+  }
+}
+
+void Registry::Detach(const std::vector<CounterSource>& sources) {
+  std::lock_guard<std::mutex> g(mu_);
+  for (const auto& [name, src] : sources) {
+    CounterSlot& slot = counters_.at(name);
+    auto it = std::find(slot.sources.begin(), slot.sources.end(), src);
+    slot.retired += (*it)->load(std::memory_order_relaxed);
+    slot.sources.erase(it);
+  }
 }
 
 MetricsSnapshot Registry::TakeSnapshot() const {
   MetricsSnapshot s;
   std::lock_guard<std::mutex> g(mu_);
-  for (const auto& [name, c] : counters_) s.counters[name] = c->value();
+  for (const auto& [name, c] : counters_) {
+    const uint64_t total = c.Total();
+    s.counters[name] = total >= c.reset_base ? total - c.reset_base : 0;
+  }
   for (const auto& [name, gv] : gauges_) {
     s.gauges[name] = MetricsSnapshot::GaugeValue{gv->value(), gv->max_seen()};
   }
@@ -100,7 +132,13 @@ MetricsSnapshot Registry::TakeSnapshot() const {
 
 void Registry::ResetAll() {
   std::lock_guard<std::mutex> g(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
+  for (auto& [name, c] : counters_) {
+    if (c.owned) {
+      c.owned->Reset();
+    } else {
+      c.reset_base = c.Total();
+    }
+  }
   for (auto& [name, gv] : gauges_) gv->Reset();
   for (auto& [name, h] : histograms_) h->Clear();
 }
@@ -109,5 +147,13 @@ size_t Registry::size() const {
   std::lock_guard<std::mutex> g(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
+
+CounterSources::CounterSources(std::vector<CounterSource> sources,
+                               Registry& registry)
+    : registry_(registry), sources_(std::move(sources)) {
+  registry_.Attach(sources_);
+}
+
+CounterSources::~CounterSources() { registry_.Detach(sources_); }
 
 }  // namespace tdp::metrics

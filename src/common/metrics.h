@@ -8,19 +8,25 @@
 // the registry around each experiment so BENCH_*.json can carry internal
 // counters next to latency statistics.
 //
-// Design rules:
-//  * Handle acquisition (GetCounter/GetGauge/GetHistogram) interns the name
-//    under a mutex — do it once, at subsystem construction, never on a hot
-//    path. Handles stay valid for the registry's lifetime.
+// Counter ownership — one counter per event:
+//  * Instance-owned: a subsystem instance (lock manager, buffer pool, redo
+//    log, ...) counts an event with one relaxed fetch_add on its own
+//    std::atomic<uint64_t> (usually a field of its Stats struct) and
+//    publishes that atomic under a name through a CounterSources member.
+//    A name's snapshot value is its retired total plus the sum of its live
+//    sources; a destroyed instance first folds its final value into the
+//    retired total, so a registry total never goes down.
+//  * Registry-owned: GetCounter interns a metrics::Counter for events with
+//    no per-instance home (process-wide or engine-level counts).
+// A name is one or the other, never both; mixing them aborts.
+//
+// Cost rules:
+//  * Handle acquisition (GetCounter/GetGauge/GetHistogram) and attaching
+//    interns the name under a mutex — do it once, at subsystem
+//    construction, never on a hot path. Handles are never null and stay
+//    valid for the registry's lifetime.
 //  * Updates through a handle are lock-free relaxed atomics (one fetch_add;
-//    histograms add ~4 relaxed atomic ops). Update via the free helpers
-//    (metrics::Inc etc.), which tolerate null handles.
-//  * Disarmed registry: GetX returns nullptr and interns nothing, so a
-//    disarmed process performs no metric allocation and every update is a
-//    single predictable branch. Disarm *before* constructing subsystems.
-//  * Compile-out: building with -DTDP_METRICS_DISABLED (CMake
-//    -DTDP_METRICS=OFF) turns the helpers into empty inlines and GetX into
-//    constant nullptr — the hot paths carry zero metric cost.
+//    histograms add ~4 relaxed atomic ops).
 //
 // Snapshots are torn-safe in the same sense as Histogram::Snapshot(): each
 // field is read atomically, so a snapshot taken while writers run may lag
@@ -33,6 +39,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 
@@ -100,6 +108,9 @@ struct MetricsSnapshot {
                                const MetricsSnapshot& after);
 };
 
+/// An instance-owned counter: the registry name and the instance's atomic.
+using CounterSource = std::pair<std::string, const std::atomic<uint64_t>*>;
+
 class Registry {
  public:
   Registry() = default;
@@ -109,54 +120,71 @@ class Registry {
   /// The process-wide registry every subsystem publishes into.
   static Registry& Global();
 
-  /// Interns `name` and returns its metric. Returns nullptr when the
-  /// registry is disarmed (nothing is interned) or metrics are compiled
-  /// out. Mutex-guarded — call at construction time, not on hot paths.
+  /// Interns `name` and returns its metric (never null). Mutex-guarded —
+  /// call at construction time, not on hot paths. GetCounter aborts when
+  /// `name` is instance-owned (has ever had an attached source).
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot TakeSnapshot() const;
 
-  /// Zeroes every registered metric (names stay interned; handles stay
-  /// valid). Not atomic across metrics — quiesce writers for exact zeros.
+  /// Zeroes every registered metric as seen by later snapshots (names stay
+  /// interned; handles stay valid). Instance-owned counters are rebased,
+  /// not written: no instance's stats() changes. Not atomic across metrics
+  /// — quiesce writers for exact zeros.
   void ResetAll();
-
-  /// Disarmed: GetX returns nullptr and allocates nothing. Existing handles
-  /// keep working — arming state is sampled at handle acquisition.
-  void SetArmed(bool armed) {
-    armed_.store(armed, std::memory_order_release);
-  }
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
 
   /// Number of registered metrics across all three kinds.
   size_t size() const;
 
  private:
+  friend class CounterSources;
+
+  /// One counter name: registry-owned (`owned`) or instance-owned
+  /// (`instance_owned`: live `sources` plus the `retired` final values of
+  /// detached ones).
+  struct CounterSlot {
+    std::unique_ptr<Counter> owned;
+    bool instance_owned = false;
+    std::vector<const std::atomic<uint64_t>*> sources;
+    uint64_t retired = 0;
+    uint64_t reset_base = 0;  ///< Instance-owned total at the last ResetAll.
+    uint64_t Total() const;
+  };
+
+  /// Publishes / withdraws each source under its name. Detach folds the
+  /// source's current value into the name's retired total.
+  void Attach(const std::vector<CounterSource>& sources);
+  void Detach(const std::vector<CounterSource>& sources);
+
   mutable std::mutex mu_;
-  std::atomic<bool> armed_{true};
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, CounterSlot> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
+/// Publishes an instance's own counters under registry names for the
+/// instance's lifetime (RAII). Declare it after the atomics it publishes, so
+/// it is destroyed first — after the instance's threads have stopped
+/// counting — and the final values land in each name's retired total. The
+/// registry must outlive it.
+class CounterSources {
+ public:
+  explicit CounterSources(std::vector<CounterSource> sources,
+                          Registry& registry = Registry::Global());
+  ~CounterSources();
+  CounterSources(const CounterSources&) = delete;
+  CounterSources& operator=(const CounterSources&) = delete;
+
+ private:
+  Registry& registry_;
+  const std::vector<CounterSource> sources_;
+};
+
 // --- hot-path update helpers -----------------------------------------------
-// Null-tolerant so disarmed subsystems pay one branch; compiled to nothing
-// under TDP_METRICS_DISABLED.
-#ifdef TDP_METRICS_DISABLED
-inline void Inc(Counter*, uint64_t = 1) {}
-inline void GaugeAdd(Gauge*, int64_t) {}
-inline void Observe(Histogram*, int64_t) {}
-#else
-inline void Inc(Counter* c, uint64_t n = 1) {
-  if (c != nullptr) c->Add(n);
-}
-inline void GaugeAdd(Gauge* g, int64_t d) {
-  if (g != nullptr) g->Add(d);
-}
-inline void Observe(Histogram* h, int64_t v) {
-  if (h != nullptr) h->Add(v);
-}
-#endif
+inline void Inc(Counter* c, uint64_t n = 1) { c->Add(n); }
+inline void GaugeAdd(Gauge* g, int64_t d) { g->Add(d); }
+inline void Observe(Histogram* h, int64_t v) { h->Add(v); }
 
 }  // namespace tdp::metrics

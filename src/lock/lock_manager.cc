@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "tprofiler/profiler.h"
 
@@ -21,7 +22,19 @@ const char* SchedulerPolicyName(SchedulerPolicy p) {
 LockManager::LockManager(LockManagerConfig config)
     : config_(config),
       table_(static_cast<size_t>(config.num_shards < 1 ? 1
-                                                       : config.num_shards)) {
+                                                       : config.num_shards)),
+      counters_({
+          {"lock.grants.total", &stats_.grants_total},
+          {"lock.grants.immediate", &stats_.immediate_grants},
+          {std::string("lock.grants.sched.") +
+               SchedulerPolicyName(config.policy),
+           &stats_.grants_sched},
+          {"lock.waits", &stats_.waits},
+          {"lock.deadlocks", &stats_.deadlocks},
+          {"lock.timeouts", &stats_.timeouts},
+          {"lock.upgrades", &stats_.upgrades},
+      }),
+      wait_ns_(metrics::Registry::Global().GetHistogram("lock.wait_ns")) {
   if (config_.num_shards < 1) config_.num_shards = 1;
   if (config_.policy == SchedulerPolicy::kCATS) {
     // CATS needs the wait-for graph to maintain weights.
@@ -33,17 +46,6 @@ LockManager::LockManager(LockManagerConfig config)
       if (w <= 0) blocked_weight_.erase(blocker);
     });
   }
-
-  auto& reg = metrics::Registry::Global();
-  m_.grants_total = reg.GetCounter("lock.grants.total");
-  m_.grants_immediate = reg.GetCounter("lock.grants.immediate");
-  m_.grants_sched = reg.GetCounter(std::string("lock.grants.sched.") +
-                                   SchedulerPolicyName(config_.policy));
-  m_.waits = reg.GetCounter("lock.waits");
-  m_.deadlocks = reg.GetCounter("lock.deadlocks");
-  m_.timeouts = reg.GetCounter("lock.timeouts");
-  m_.upgrades = reg.GetCounter("lock.upgrades");
-  m_.wait_ns = reg.GetHistogram("lock.wait_ns");
 }
 
 int LockManager::BlockedWeight(uint64_t txn_id) const {
@@ -69,88 +71,58 @@ void LockManager::SetWaitObserver(
 
 std::vector<LockManager::RequestPtr> LockManager::ScheduleOrder(
     const Queue& q) const {
-  std::vector<RequestPtr> order = q.waiting;
-  switch (config_.policy) {
-    case SchedulerPolicy::kFCFS:
-      std::stable_sort(order.begin(), order.end(),
-                       [](const RequestPtr& a, const RequestPtr& b) {
-                         if (a->is_upgrade != b->is_upgrade)
-                           return a->is_upgrade;
-                         return a->enqueue_ns < b->enqueue_ns;
-                       });
-      break;
-    case SchedulerPolicy::kVATS:
-      std::stable_sort(order.begin(), order.end(),
-                       [](const RequestPtr& a, const RequestPtr& b) {
-                         if (a->is_upgrade != b->is_upgrade)
-                           return a->is_upgrade;
-                         if (a->txn->birth_ns != b->txn->birth_ns)
-                           return a->txn->birth_ns < b->txn->birth_ns;
-                         return a->txn->id < b->txn->id;
-                       });
-      break;
-    case SchedulerPolicy::kRS:
-      std::stable_sort(order.begin(), order.end(),
-                       [](const RequestPtr& a, const RequestPtr& b) {
-                         if (a->is_upgrade != b->is_upgrade)
-                           return a->is_upgrade;
-                         if (a->txn->random_priority != b->txn->random_priority)
-                           return a->txn->random_priority <
-                                  b->txn->random_priority;
-                         return a->txn->id < b->txn->id;
-                       });
-      break;
-    case SchedulerPolicy::kCATS: {
-      // Snapshot weights once; heaviest blocker first, eldest on ties.
-      std::unordered_map<uint64_t, int> weights;
-      {
-        std::lock_guard<std::mutex> g(weights_mu_);
-        weights.reserve(order.size());
-        for (const RequestPtr& r : order) {
-          auto it = blocked_weight_.find(r->txn->id);
-          weights[r->txn->id] = it == blocked_weight_.end() ? 0 : it->second;
-        }
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&weights](const RequestPtr& a, const RequestPtr& b) {
-                         if (a->is_upgrade != b->is_upgrade)
-                           return a->is_upgrade;
-                         const int wa = weights.at(a->txn->id);
-                         const int wb = weights.at(b->txn->id);
-                         if (wa != wb) return wa > wb;
-                         if (a->txn->birth_ns != b->txn->birth_ns)
-                           return a->txn->birth_ns < b->txn->birth_ns;
-                         return a->txn->id < b->txn->id;
-                       });
-      break;
+  // One sort key per waiter, built once per pass; every field ascending:
+  // upgrades first, then the policy's weight descending (CATS: current
+  // blocked weight; CP-VATS: predicted weight at one `now`, so decay cannot
+  // flip pairs mid-sort), then its order key (FCFS: enqueue time; RS:
+  // random priority; else birth, eldest first), then txn id. FCFS leaves
+  // the id out, so its ties keep queue position through the stable sort.
+  struct Key {
+    bool not_upgrade = false;
+    double neg_weight = 0.0;
+    int64_t order = 0;
+    uint64_t random = 0;
+    uint64_t id = 0;
+    const RequestPtr* req = nullptr;
+  };
+  const SchedulerPolicy policy = config_.policy;
+  std::vector<Key> keys(q.waiting.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const RequestPtr& r = q.waiting[i];
+    Key& k = keys[i];
+    k.not_upgrade = !r->is_upgrade;
+    k.req = &r;
+    if (policy == SchedulerPolicy::kFCFS) {
+      k.order = r->enqueue_ns;
+      continue;
     }
-    case SchedulerPolicy::kCPVATS: {
-      // Snapshot each waiter's predicted blocking weight once (the scorer's
-      // counters decay with time, so a single `now` keeps the comparator's
-      // order strict); heaviest predicted blocker first, eldest on ties.
-      // Without a scorer every weight is 0 and this is exactly VATS.
-      std::unordered_map<uint64_t, double> weights;
-      weights.reserve(order.size());
-      const ConflictScorer* scorer = config_.scorer;
-      const int64_t now = NowNanos();
-      for (const RequestPtr& r : order) {
-        weights[r->txn->id] =
-            scorer != nullptr ? scorer->PredictedWeight(*r->txn, now) : 0.0;
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&weights](const RequestPtr& a, const RequestPtr& b) {
-                         if (a->is_upgrade != b->is_upgrade)
-                           return a->is_upgrade;
-                         const double wa = weights.at(a->txn->id);
-                         const double wb = weights.at(b->txn->id);
-                         if (wa != wb) return wa > wb;
-                         if (a->txn->birth_ns != b->txn->birth_ns)
-                           return a->txn->birth_ns < b->txn->birth_ns;
-                         return a->txn->id < b->txn->id;
-                       });
-      break;
+    k.id = r->txn->id;
+    if (policy == SchedulerPolicy::kRS) {
+      k.random = r->txn->random_priority;
+    } else {
+      k.order = r->txn->birth_ns;
     }
   }
+  if (policy == SchedulerPolicy::kCATS) {
+    std::lock_guard<std::mutex> g(weights_mu_);
+    for (Key& k : keys) {
+      auto it = blocked_weight_.find(k.id);
+      if (it != blocked_weight_.end()) k.neg_weight = -it->second;
+    }
+  } else if (policy == SchedulerPolicy::kCPVATS && config_.scorer != nullptr) {
+    // Without a scorer every weight is 0 and this is exactly VATS.
+    const int64_t now = NowNanos();
+    for (Key& k : keys) {
+      k.neg_weight = -config_.scorer->PredictedWeight(*(*k.req)->txn, now);
+    }
+  }
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.not_upgrade, a.neg_weight, a.order, a.random, a.id) <
+           std::tie(b.not_upgrade, b.neg_weight, b.order, b.random, b.id);
+  });
+  std::vector<RequestPtr> order;
+  order.reserve(keys.size());
+  for (const Key& k : keys) order.push_back(*k.req);
   return order;
 }
 
@@ -276,7 +248,6 @@ void LockManager::SignalVictim(uint64_t victim_txn) {
   if (req->state.compare_exchange_strong(expected, kDeadlockState,
                                          std::memory_order_acq_rel)) {
     stats_.deadlocks.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.deadlocks);
     std::lock_guard<std::mutex> g(req->wait_mu);
     req->wait_cv.notify_all();
   }
@@ -318,7 +289,7 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
     }
     if (mine) {
       if (Covers(mine->mode, mode)) {
-        metrics::Inc(m_.grants_total);
+        stats_.grants_total.fetch_add(1, std::memory_order_relaxed);
         granted_inline = true;
         return;
       }
@@ -333,8 +304,7 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
       if (compatible) {
         mine->mode = desired;
         stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.upgrades);
-        metrics::Inc(m_.grants_total);
+        stats_.grants_total.fetch_add(1, std::memory_order_relaxed);
         granted_inline = true;
         return;
       }
@@ -345,7 +315,6 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
       req->is_upgrade = true;
       q.waiting.push_back(req);
       stats_.upgrades.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.upgrades);
     } else {
       // Immediate grant: compatible with all granted and nobody waiting.
       bool compatible = true;
@@ -364,8 +333,7 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
         q.granted.push_back(std::move(granted));
         txn->held_records.push_back(rec);
         stats_.immediate_grants.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.grants_immediate);
-        metrics::Inc(m_.grants_total);
+        stats_.grants_total.fetch_add(1, std::memory_order_relaxed);
         granted_inline = true;
         return;
       }
@@ -402,7 +370,6 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
 
   // --- suspended: wait on the transaction's event --------------------------
   stats_.waits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.waits);
   const int64_t wait_start = NowNanos();
   const int64_t age_at_enqueue = txn->AgeAt(wait_start);
   bool timed_out_locally = false;
@@ -424,14 +391,13 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
 
   const int state = req->state.load(std::memory_order_acquire);
   const int64_t wait_ns = NowNanos() - wait_start;
-  wait_times_.Add(wait_ns);
-  metrics::Observe(m_.wait_ns, wait_ns);
+  metrics::Observe(wait_ns_, wait_ns);
 
   Status result = Status::OK();
   if (state == kGrantedState) {
     if (!req->is_upgrade) txn->held_records.push_back(rec);
-    metrics::Inc(m_.grants_sched);
-    metrics::Inc(m_.grants_total);
+    stats_.grants_sched.fetch_add(1, std::memory_order_relaxed);
+    stats_.grants_total.fetch_add(1, std::memory_order_relaxed);
     detector_.Remove(txn->id);
   } else {
     // Deadlock victim or timeout: remove our request and re-run the grant
@@ -450,7 +416,6 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
       result = Status::Deadlock("chosen as deadlock victim");
     } else {
       stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.timeouts);
       result = Status::LockTimeout();
     }
   }

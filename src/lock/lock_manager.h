@@ -30,7 +30,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/sharded_hash_table.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "lock/deadlock.h"
 #include "lock/lock_mode.h"
@@ -157,10 +156,14 @@ class LockManager {
     std::atomic<uint64_t> deadlocks{0};
     std::atomic<uint64_t> timeouts{0};
     std::atomic<uint64_t> upgrades{0};
+    /// Every successful Lock() return (lock.grants.total) — the engine-side
+    /// acquisition invariant checked by the bench harness.
+    std::atomic<uint64_t> grants_total{0};
+    /// Grants made by the scheduler's grant pass, i.e. after a wait
+    /// (lock.grants.sched.<POLICY>).
+    std::atomic<uint64_t> grants_sched{0};
   };
   const Stats& stats() const { return stats_; }
-  /// Wait durations of all suspended requests (ns).
-  const LatencySample& wait_times() const { return wait_times_; }
 
   /// Number of granted + waiting requests on `rec` (tests/debug).
   std::pair<size_t, size_t> QueueDepths(RecordId rec) const;
@@ -249,23 +252,9 @@ class LockManager {
   std::unordered_map<uint64_t, int> blocked_weight_;
 
   Stats stats_;
-  // Registry handles, interned once at construction (null when the metrics
-  // registry is disarmed or compiled out). `lock.grants.total` counts every
-  // successful Lock() return — the engine-side acquisition invariant checked
-  // by the bench harness; `lock.grants.sched.<POLICY>` counts only grants
-  // made by the scheduler's grant pass (i.e. after a wait).
-  struct MetricHandles {
-    metrics::Counter* grants_total = nullptr;
-    metrics::Counter* grants_immediate = nullptr;
-    metrics::Counter* grants_sched = nullptr;
-    metrics::Counter* waits = nullptr;
-    metrics::Counter* deadlocks = nullptr;
-    metrics::Counter* timeouts = nullptr;
-    metrics::Counter* upgrades = nullptr;
-    Histogram* wait_ns = nullptr;
-  };
-  MetricHandles m_;
-  LatencySample wait_times_;
+  /// Publishes stats_ as the lock.* counters (declared after stats_).
+  const metrics::CounterSources counters_;
+  Histogram* const wait_ns_;  ///< lock.wait_ns
   std::function<void(const WaitObservation&)> observer_;
   mutable std::mutex observer_mu_;
 };

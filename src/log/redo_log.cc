@@ -26,17 +26,20 @@ void AtomicMax(std::atomic<uint64_t>* a, uint64_t v) {
 }
 }  // namespace
 
-RedoLog::RedoLog(RedoLogConfig config) : config_(config) {
+RedoLog::RedoLog(RedoLogConfig config)
+    : config_(config),
+      counters_({
+          {"log.commits", &stats_.commits},
+          {"log.flushes", &stats_.flushes},
+          {"log.group_commit_riders", &stats_.group_commit_riders},
+          {"log.io_retries", &stats_.io_retries},
+          {"log.io_errors", &stats_.io_errors},
+          {"log.degraded_commits", &stats_.degraded_commits},
+          {"log.bytes_written", &stats_.bytes_written},
+          {"log.async_commits", &stats_.async_commits},
+          {"log.epoch_flushes", &stats_.epoch_flushes},
+      }) {
   auto& reg = metrics::Registry::Global();
-  m_.commits = reg.GetCounter("log.commits");
-  m_.flushes = reg.GetCounter("log.flushes");
-  m_.group_commit_riders = reg.GetCounter("log.group_commit_riders");
-  m_.io_retries = reg.GetCounter("log.io_retries");
-  m_.io_errors = reg.GetCounter("log.io_errors");
-  m_.degraded_commits = reg.GetCounter("log.degraded_commits");
-  m_.bytes_written = reg.GetCounter("log.bytes_written");
-  m_.async_commits = reg.GetCounter("log.async_commits");
-  m_.epoch_flushes = reg.GetCounter("log.epoch_flushes");
   m_.group_commit_batch = reg.GetHistogram("log.group_commit_batch");
   m_.epoch_batch = reg.GetHistogram("log.epoch_batch");
 }
@@ -134,7 +137,6 @@ void RedoLog::DrainEpoch() {
   }
   if (fire.empty()) return;
   stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.epoch_flushes);
   metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
   for (CommitAckFn& ack : fire) ack(Status::OK());
 }
@@ -171,11 +173,9 @@ Status RedoLog::FlushToDevice(uint64_t bytes) {
   if (attempts > 1) {
     stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
                                 std::memory_order_relaxed);
-    metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
   }
   if (!s.ok()) {
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.io_errors);
   } else {
     TDP_CRASH_POINT("redo.post_flush");
   }
@@ -211,8 +211,7 @@ Status RedoLog::WriteAndFlushUpTo(uint64_t target) {
     flush_in_progress_ = false;
     if (s.ok()) {
       stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.flushes);
-      metrics::Inc(m_.bytes_written, bytes);
+      stats_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
       // One LSN per commit record, so the LSN span is the batch size.
       metrics::Observe(m_.group_commit_batch,
                        static_cast<int64_t>(flush_target - durable_before));
@@ -244,7 +243,6 @@ Status RedoLog::WriteAndFlushUpTo(uint64_t target) {
   }
   if (!led) {
     stats_.group_commit_riders.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.group_commit_riders);
   }
   return result;
 }
@@ -292,10 +290,8 @@ uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
   }
   TDP_CRASH_POINT("redo.append");
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
   if (ack != nullptr) {
     stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.async_commits);
     if (!parked) {
       // No epoch thread to cover us (never started, or Stop() closed the
       // ledger): lead a flush ourselves and ack exactly what is durable.
@@ -332,7 +328,6 @@ uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
         const Status s = WriteAndFlushUpTo(my_lsn);
         if (!s.ok()) {
           stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.degraded_commits);
         }
       } else {
         // Per-commit fsync: write own redo and barrier, concurrently with
@@ -342,7 +337,6 @@ uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
                 config_.io_retry.stall_deadline_ns) {
           // Leave the bytes in unwritten_bytes_; the flusher covers them.
           stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.degraded_commits);
           break;
         }
         {
@@ -359,8 +353,7 @@ uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
         }
         if (s.ok()) {
           stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.flushes);
-          metrics::Inc(m_.bytes_written, bytes);
+          stats_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
           metrics::Observe(m_.group_commit_batch, 1);
           AtomicMax(&written_lsn_, my_lsn);
           // Only this commit's bytes hit the device. An earlier LSN's bytes
@@ -376,7 +369,6 @@ uint64_t RedoLog::CommitInternal(uint64_t txn_id, uint64_t bytes,
           std::lock_guard<std::mutex> g(mu_);
           unwritten_bytes_ += bytes;
           stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-          metrics::Inc(m_.degraded_commits);
         }
       }
       break;

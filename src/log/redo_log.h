@@ -167,6 +167,10 @@ class RedoLog {
                                                 ///< durability (fallback).
     std::atomic<uint64_t> async_commits{0};  ///< CommitAsync calls.
     std::atomic<uint64_t> epoch_flushes{0};  ///< Epoch rounds that fired acks.
+    /// Redo bytes whose flush succeeded: on a quiesced fully-durable log,
+    /// the sum of commit record sizes (an invariant the bench harness
+    /// checks).
+    std::atomic<uint64_t> bytes_written{0};
   };
   const Stats& stats() const { return stats_; }
 
@@ -237,22 +241,12 @@ class RedoLog {
   std::condition_variable stop_cv_;
 
   Stats stats_;
-  // Registry handles (null when metrics are disarmed or compiled out).
-  // `log.bytes_written` counts redo bytes whose flush succeeded, so on a
-  // quiesced fully-durable log it equals the sum of commit record sizes —
-  // the end-to-end invariant the bench harness checks. The batch histogram
-  // records commit records made durable per successful flush (group-commit
-  // effectiveness; the per-commit fsync path always observes 1).
+  /// Publishes stats_ as the log.* counters (declared after stats_).
+  const metrics::CounterSources counters_;
+  // The batch histogram records commit records made durable per successful
+  // flush (group-commit effectiveness; the per-commit fsync path always
+  // observes 1).
   struct MetricHandles {
-    metrics::Counter* commits = nullptr;
-    metrics::Counter* flushes = nullptr;
-    metrics::Counter* group_commit_riders = nullptr;
-    metrics::Counter* io_retries = nullptr;
-    metrics::Counter* io_errors = nullptr;
-    metrics::Counter* degraded_commits = nullptr;
-    metrics::Counter* bytes_written = nullptr;
-    metrics::Counter* async_commits = nullptr;
-    metrics::Counter* epoch_flushes = nullptr;
     Histogram* group_commit_batch = nullptr;
     Histogram* epoch_batch = nullptr;  ///< Acks fired per epoch flush.
   };

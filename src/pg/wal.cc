@@ -8,7 +8,20 @@
 
 namespace tdp::pg {
 
-WalManager::WalManager(WalConfig config) : config_(config) {
+WalManager::WalManager(WalConfig config)
+    : config_(config),
+      counters_({
+          {"wal.commits", &stats_.commits},
+          {"wal.commit_bytes", &stats_.commit_bytes},
+          {"wal.blocks_written", &stats_.blocks_written},
+          {"wal.bytes_written", &stats_.bytes_written},
+          {"wal.second_log_used", &stats_.second_log_used},
+          {"wal.io_retries", &stats_.io_retries},
+          {"wal.io_errors", &stats_.io_errors},
+          {"wal.degraded_commits", &stats_.degraded_commits},
+          {"wal.async_commits", &stats_.async_commits},
+          {"wal.epoch_flushes", &stats_.epoch_flushes},
+      }) {
   if (config_.block_bytes == 0) config_.block_bytes = 8192;
   int sets = config_.num_log_sets < 1 ? 1 : config_.num_log_sets;
   if (config_.parallel_logging && sets < 2) sets = 2;
@@ -20,16 +33,6 @@ WalManager::WalManager(WalConfig config) : config_(config) {
   }
 
   auto& reg = metrics::Registry::Global();
-  m_.commits = reg.GetCounter("wal.commits");
-  m_.commit_bytes = reg.GetCounter("wal.commit_bytes");
-  m_.blocks_written = reg.GetCounter("wal.blocks_written");
-  m_.bytes_written = reg.GetCounter("wal.bytes_written");
-  m_.second_log_used = reg.GetCounter("wal.second_log_used");
-  m_.io_retries = reg.GetCounter("wal.io_retries");
-  m_.io_errors = reg.GetCounter("wal.io_errors");
-  m_.degraded_commits = reg.GetCounter("wal.degraded_commits");
-  m_.async_commits = reg.GetCounter("wal.async_commits");
-  m_.epoch_flushes = reg.GetCounter("wal.epoch_flushes");
   m_.epoch_batch = reg.GetHistogram("wal.epoch_batch");
   m_.queue_depth.reserve(sets_.size());
   for (size_t i = 0; i < sets_.size(); ++i) {
@@ -101,7 +104,6 @@ void WalManager::DrainEpochSet(LogSet* set) {
   }
   if (fire.empty()) return;
   stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.epoch_flushes);
   metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
   for (CommitAckFn& ack : fire) ack(Status::OK());
 }
@@ -123,7 +125,6 @@ Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
       if (attempts > 1) {
         stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
                                     std::memory_order_relaxed);
-        metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
       }
     } while (!s.ok() && !config_.degrade_on_stall &&
              !CrashPoints::Global().triggered());
@@ -133,17 +134,15 @@ Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
     Status s = attempt_op([&] { return set->disk.Write(config_.block_bytes); });
     if (!s.ok()) {
       stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.io_errors);
       return s;
     }
     stats_.blocks_written.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.blocks_written);
-    metrics::Inc(m_.bytes_written, config_.block_bytes);
+    stats_.bytes_written.fetch_add(config_.block_bytes,
+                                   std::memory_order_relaxed);
   }
   Status s = attempt_op([&] { return set->disk.Flush(0); });
   if (!s.ok()) {
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.io_errors);
   } else {
     // The barrier covers every byte written to this set so far, including
     // frames left behind by earlier degraded commits.
@@ -222,7 +221,6 @@ WalManager::LogSet* WalManager::AcquireSet(size_t* index) {
     }
     if (chosen_index > 0) {
       stats_.second_log_used.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.second_log_used);
     }
   }
   *index = chosen_index;
@@ -235,11 +233,9 @@ Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
   const bool epoch = ack != nullptr && config_.async_commit &&
                      running_.load(std::memory_order_acquire);
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
-  metrics::Inc(m_.commit_bytes, bytes);
+  stats_.commit_bytes.fetch_add(bytes, std::memory_order_relaxed);
   if (epoch) {
     stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.async_commits);
   }
 
   size_t chosen_index = 0;
@@ -279,7 +275,6 @@ Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
   chosen->mu.unlock();
   if (!s.ok()) {
     stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.degraded_commits);
   }
   if (ack != nullptr) (*ack)(s);
   return s;

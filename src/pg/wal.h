@@ -143,6 +143,12 @@ class WalManager {
                                                 ///< abandoned the flush.
     std::atomic<uint64_t> async_commits{0};  ///< CommitFlushAsync calls.
     std::atomic<uint64_t> epoch_flushes{0};  ///< Epoch rounds that fired acks.
+    /// `commit_bytes` is requested payload; `bytes_written` is the
+    /// block-aligned on-device total, so bytes_written == blocks_written *
+    /// block_bytes always, and the block-rounding invariant (blocks == sum
+    /// of ceil(bytes/block)) is checkable from a snapshot.
+    std::atomic<uint64_t> commit_bytes{0};
+    std::atomic<uint64_t> bytes_written{0};
   };
   const Stats& stats() const { return stats_; }
 
@@ -203,24 +209,11 @@ class WalManager {
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   Stats stats_;
-  // Registry handles (null when metrics are disarmed or compiled out).
-  // `wal.commit_bytes` is requested payload; `wal.bytes_written` is the
-  // block-aligned on-device total (blocks * block_bytes), so
-  // wal.bytes_written == wal.blocks_written * block_bytes always, and the
-  // block-rounding invariant (blocks == sum of ceil(bytes/block)) is
-  // checkable from a snapshot. One queue-depth histogram per log set shows
-  // how parallel logging spreads the flush traffic.
+  /// Publishes stats_ as the wal.* counters (declared after stats_).
+  const metrics::CounterSources counters_;
+  // One queue-depth histogram per log set shows how parallel logging
+  // spreads the flush traffic.
   struct MetricHandles {
-    metrics::Counter* commits = nullptr;
-    metrics::Counter* commit_bytes = nullptr;
-    metrics::Counter* blocks_written = nullptr;
-    metrics::Counter* bytes_written = nullptr;
-    metrics::Counter* second_log_used = nullptr;
-    metrics::Counter* io_retries = nullptr;
-    metrics::Counter* io_errors = nullptr;
-    metrics::Counter* degraded_commits = nullptr;
-    metrics::Counter* async_commits = nullptr;
-    metrics::Counter* epoch_flushes = nullptr;
     Histogram* epoch_batch = nullptr;  ///< Acks fired per epoch barrier.
     std::vector<Histogram*> queue_depth;  ///< wal.queue_depth.set<i>
   };

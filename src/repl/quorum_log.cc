@@ -14,7 +14,16 @@ namespace {
 constexpr const char* kStoppedMsg = "replication stopped before quorum";
 }  // namespace
 
-QuorumLog::QuorumLog(QuorumLogConfig config) : config_(config) {
+QuorumLog::QuorumLog(QuorumLogConfig config)
+    : config_(config),
+      counters_({
+          {"repl.commits_submitted", &stats_.commits_submitted},
+          {"repl.acks_quorum", &stats_.acks_quorum},
+          {"repl.acks_lost", &stats_.acks_lost},
+          {"repl.failovers", &stats_.failovers},
+          {"repl.stale_completions", &stats_.stale_completions},
+      }),
+      acks_waiting_(metrics::Registry::Global().GetGauge("repl.acks_waiting")) {
   if (config_.replicas < 1) config_.replicas = 1;
   quorum_ = config_.quorum > 0 ? config_.quorum : config_.replicas / 2 + 1;
   if (quorum_ > config_.replicas) quorum_ = config_.replicas;
@@ -31,13 +40,6 @@ QuorumLog::QuorumLog(QuorumLogConfig config) : config_(config) {
     replicas_.push_back(std::make_unique<Replica>(rc));
   }
   ship_offsets_.assign(replicas_.size(), 0);
-  auto& reg = metrics::Registry::Global();
-  m_.commits_submitted = reg.GetCounter("repl.commits_submitted");
-  m_.acks_quorum = reg.GetCounter("repl.acks_quorum");
-  m_.acks_lost = reg.GetCounter("repl.acks_lost");
-  m_.failovers = reg.GetCounter("repl.failovers");
-  m_.stale_completions = reg.GetCounter("repl.stale_completions");
-  m_.acks_waiting = reg.GetGauge("repl.acks_waiting");
 }
 
 QuorumLog::~QuorumLog() {
@@ -70,7 +72,7 @@ void QuorumLog::Stop() {
     std::lock_guard<std::mutex> g(mu_);
     covered = acks_.TakeCovered(quorum_lsn_.load(std::memory_order_relaxed));
     lost = acks_.Close();
-    metrics::GaugeAdd(m_.acks_waiting,
+    metrics::GaugeAdd(acks_waiting_,
                       -static_cast<int64_t>(covered.size() + lost.size()));
   }
   Resolve(std::move(covered), Status::OK());
@@ -104,7 +106,7 @@ void QuorumLog::AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
   *fire = acks_.TakeCovered(quorum_lsn_.load(std::memory_order_relaxed));
   if (!quorum_lost_ && AliveCopiesLocked() < quorum_) quorum_lost_ = true;
   if (quorum_lost_) *lost = acks_.TakeCovered(UINT64_MAX);
-  metrics::GaugeAdd(m_.acks_waiting,
+  metrics::GaugeAdd(acks_waiting_,
                     -static_cast<int64_t>(fire->size() + lost->size()));
 }
 
@@ -133,7 +135,6 @@ void QuorumLog::Resolve(std::vector<CommitAckFn> acks, const Status& s) {
   std::atomic<uint64_t>& counted = s.ok() ? stats_.acks_quorum
                                           : stats_.acks_lost;
   counted.fetch_add(acks.size(), std::memory_order_relaxed);
-  metrics::Inc(s.ok() ? m_.acks_quorum : m_.acks_lost, acks.size());
 }
 
 bool QuorumLog::AdvanceAndFire(std::unique_lock<std::mutex>* lk) {
@@ -164,7 +165,6 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
                                 std::vector<log::RedoOp> ops,
                                 CommitAckFn ack) {
   stats_.commits_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits_submitted);
   // The leader's log is still the one appender: same LSNs, same framing,
   // same epoch batching. Its durability signal (the internal ack below) is
   // what wakes the shippers, replacing "leader durable => ack" with
@@ -181,7 +181,7 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
       // CommitAsync returns on the synchronous fallback path).
       fire.push_back(std::move(ack));
     } else if (acks_.Park(lsn, std::move(ack))) {
-      metrics::GaugeAdd(m_.acks_waiting, 1);
+      metrics::GaugeAdd(acks_waiting_, 1);
       // Re-check immediately: the quorum may have advanced past `lsn`
       // between the leader append and the park, and a latched quorum loss
       // must bounce new commits instead of stranding them.
@@ -256,7 +256,6 @@ void QuorumLog::ShipperLoop(size_t idx) {
       // it and re-anchor at whatever the replica actually holds durable —
       // the new term's shipping resumes from there.
       stats_.stale_completions.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.stale_completions);
       ship_offsets_[idx] = replica.durable_bytes();
       continue;
     }
@@ -282,7 +281,6 @@ uint64_t QuorumLog::Failover() {
     std::lock_guard<std::mutex> g(mu_);
     new_term = term_.fetch_add(1, std::memory_order_acq_rel) + 1;
     stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.failovers);
     // Drop every in-flight shipping assumption: re-anchor at what each
     // replica provably holds. Completions snapshotted under the old term
     // are discarded when they land (ShipperLoop's term check).
@@ -293,7 +291,7 @@ uint64_t QuorumLog::Failover() {
     // bounce them as Unavailable so clients ride through on retry
     // (RetryPolicy.retry_unavailable) rather than waiting out the window.
     lost = acks_.TakeCovered(UINT64_MAX);
-    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(lost.size()));
+    metrics::GaugeAdd(acks_waiting_, -static_cast<int64_t>(lost.size()));
     // A new term restores service if a quorum of copies is back.
     if (quorum_lost_ && AliveCopiesLocked() >= quorum_) quorum_lost_ = false;
   }

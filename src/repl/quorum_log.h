@@ -188,15 +188,9 @@ class QuorumLog {
   std::condition_variable ship_cv_;  ///< Wakes shippers on leader advance.
 
   Stats stats_;
-  struct MetricHandles {
-    metrics::Counter* commits_submitted = nullptr;
-    metrics::Counter* acks_quorum = nullptr;
-    metrics::Counter* acks_lost = nullptr;
-    metrics::Counter* failovers = nullptr;
-    metrics::Counter* stale_completions = nullptr;
-    metrics::Gauge* acks_waiting = nullptr;
-  };
-  MetricHandles m_;
+  /// Publishes stats_ as the repl.* counters (declared after stats_).
+  const metrics::CounterSources counters_;
+  metrics::Gauge* const acks_waiting_;  ///< repl.acks_waiting
 };
 
 /// Failover election over post-crash images (leader + replicas, or replicas

@@ -6,20 +6,20 @@
 namespace tdp::repl {
 
 Replica::Replica(ReplicaConfig config)
-    : config_(config), disk_(config.disk) {
-  auto& reg = metrics::Registry::Global();
-  m_.ships = reg.GetCounter("repl.ships");
-  m_.ship_bytes = reg.GetCounter("repl.ship_bytes");
-  m_.ship_errors = reg.GetCounter("repl.ship_errors");
-  m_.rejected_stale_term = reg.GetCounter("repl.ship_rejected_stale_term");
-}
+    : config_(config),
+      disk_(config.disk),
+      counters_({
+          {"repl.ships", &stats_.ships},
+          {"repl.ship_bytes", &stats_.ship_bytes},
+          {"repl.ship_errors", &stats_.ship_errors},
+          {"repl.ship_rejected_stale_term", &stats_.rejected_stale_term},
+      }) {}
 
 Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
                      size_t size, uint64_t end_lsn) {
   std::lock_guard<std::mutex> ship_guard(ship_mu_);
   if (dark()) {
     stats_.ship_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.ship_errors);
     return Status::IOError("replica dark");
   }
   {
@@ -27,7 +27,6 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
     const uint64_t cur_term = term_.load(std::memory_order_relaxed);
     if (term < cur_term) {
       stats_.rejected_stale_term.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.rejected_stale_term);
       return Status::Aborted("stale term");
     }
     const size_t durable = durable_bytes_.load(std::memory_order_relaxed);
@@ -69,14 +68,12 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
   if (!s.ok()) {
     // Appended bytes stay as the torn-tail candidate; the watermark holds.
     stats_.ship_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.ship_errors);
     return s;
   }
   if (term < term_.load(std::memory_order_relaxed)) {
     // Deposed while the flush was in flight: a newer term truncated and
     // rewrote the image. This completion must not advance anything.
     stats_.rejected_stale_term.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.rejected_stale_term);
     return Status::Aborted("stale term");
   }
   durable_bytes_.store(image_.size(), std::memory_order_release);
@@ -85,8 +82,6 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
                      std::memory_order_release);
   stats_.ships.fetch_add(1, std::memory_order_relaxed);
   stats_.ship_bytes.fetch_add(size, std::memory_order_relaxed);
-  metrics::Inc(m_.ships);
-  metrics::Inc(m_.ship_bytes, size);
   return Status::OK();
 }
 

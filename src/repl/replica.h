@@ -125,14 +125,9 @@ class Replica {
   std::atomic<bool> killed_{false};
 
   Stats stats_;
-  // Process-wide registry mirrors (shared by every replica, like fault.*).
-  struct MetricHandles {
-    metrics::Counter* ships = nullptr;
-    metrics::Counter* ship_bytes = nullptr;
-    metrics::Counter* ship_errors = nullptr;
-    metrics::Counter* rejected_stale_term = nullptr;
-  };
-  MetricHandles m_;
+  /// Publishes stats_ under repl.*; every replica sums into the same names
+  /// (declared after stats_).
+  const metrics::CounterSources counters_;
 };
 
 }  // namespace tdp::repl

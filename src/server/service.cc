@@ -12,7 +12,31 @@ TransactionService::TransactionService(engine::Database* db,
                                        ServiceConfig config)
     : db_(db),
       config_(std::move(config)),
-      queue_(config_.policy, config_.max_queue_depth) {
+      queue_(config_.policy, config_.max_queue_depth),
+      counters_({
+          {"server.submitted", &submitted_},
+          {"server.admitted", &admitted_},
+          {"server.shed", &shed_},
+          {"server.rejected_recovering", &rejected_recovering_},
+          {"server.expired", &expired_},
+          {"server.requeues", &requeues_},
+          {"server.completed", &completed_},
+          {"server.completed.ok", &completed_ok_},
+          {"server.drain_aborted", &drain_aborted_},
+          {"server.async_acks", &async_acks_},
+          {"server.sync_acks", &sync_acks_},
+          {std::string("server.dispatches.") +
+               DispatchPolicyName(config_.policy),
+           &dispatches_},
+          {"server.steer_delayed", &steer_delayed_},
+          {"sched.predictions", &sched_predictions_},
+          {"sched.flagged", &steer_delayed_},
+          {"sched.steer_delays", &sched_steer_delays_},
+          {"sched.hits", &sched_hits_},
+          {"sched.false_positives", &sched_false_positives_},
+          {"shard.routed_single", &routed_single_},
+          {"shard.routed_cross", &routed_cross_},
+      }) {
   // Steering predictor: explicit config wins, else the engine's own (the
   // one its lock manager feeds), else steering is off.
   predictor_ = config_.predictor != nullptr ? config_.predictor
@@ -25,27 +49,6 @@ TransactionService::TransactionService(engine::Database* db,
     router_ = &sharded->router();
   }
   auto& reg = metrics::Registry::Global();
-  m_.submitted = reg.GetCounter("server.submitted");
-  m_.admitted = reg.GetCounter("server.admitted");
-  m_.shed = reg.GetCounter("server.shed");
-  m_.rejected_recovering = reg.GetCounter("server.rejected_recovering");
-  m_.expired = reg.GetCounter("server.expired");
-  m_.requeues = reg.GetCounter("server.requeues");
-  m_.completed = reg.GetCounter("server.completed");
-  m_.completed_ok = reg.GetCounter("server.completed.ok");
-  m_.drain_aborted = reg.GetCounter("server.drain_aborted");
-  m_.async_acks = reg.GetCounter("server.async_acks");
-  m_.sync_acks = reg.GetCounter("server.sync_acks");
-  m_.dispatches_policy = reg.GetCounter(
-      std::string("server.dispatches.") + DispatchPolicyName(config_.policy));
-  m_.steer_delayed = reg.GetCounter("server.steer_delayed");
-  m_.sched_predictions = reg.GetCounter("sched.predictions");
-  m_.sched_flagged = reg.GetCounter("sched.flagged");
-  m_.sched_steer_delays = reg.GetCounter("sched.steer_delays");
-  m_.sched_hits = reg.GetCounter("sched.hits");
-  m_.sched_false_positives = reg.GetCounter("sched.false_positives");
-  m_.routed_single = reg.GetCounter("shard.routed_single");
-  m_.routed_cross = reg.GetCounter("shard.routed_cross");
   m_.queue_depth = reg.GetGauge("server.queue_depth");
   m_.queue_age_ns = reg.GetHistogram("server.queue_age_ns");
   m_.latency_ns = reg.GetHistogram("server.latency_ns");
@@ -81,7 +84,6 @@ void TransactionService::Shutdown() {
   const int64_t now = NowNanos();
   for (Queue::Entry& e : aborted) {
     drain_aborted_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.drain_aborted);
     Complete(std::move(e.item), Status::Aborted("service shutdown"),
              /*dispatch_ns=*/0, now);
   }
@@ -108,12 +110,10 @@ Status TransactionService::Submit(engine::TxnBody body,
   {
     std::lock_guard<std::mutex> g(mu_);
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.submitted);
     if (recovering_.load(std::memory_order_acquire)) {
       // Not overload: the service exists but is replaying its log. Clients
       // should retry after recovery, not back off as if the queue were full.
       rejected_recovering_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.rejected_recovering);
       return Status::Unavailable("service recovering; retry later");
     }
     const char* reason = nullptr;
@@ -126,7 +126,6 @@ Status TransactionService::Submit(engine::TxnBody body,
     }
     if (reason != nullptr) {
       shed_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.shed);
       return Status::Overloaded(reason);
     }
     if (router_ != nullptr && !footprint.empty()) {
@@ -134,7 +133,8 @@ Status TransactionService::Submit(engine::TxnBody body,
       // popcount via Kernighan: masks are at most kMaxShards bits.
       int shards = 0;
       for (uint64_t m = mask; m != 0; m &= m - 1) ++shards;
-      metrics::Inc(shards <= 1 ? m_.routed_single : m_.routed_cross);
+      (shards <= 1 ? routed_single_ : routed_cross_)
+          .fetch_add(1, std::memory_order_relaxed);
     }
     auto req = std::make_unique<Request>();
     req->body = std::move(body);
@@ -143,7 +143,6 @@ Status TransactionService::Submit(engine::TxnBody body,
     req->footprint = std::move(footprint);
     queue_.Push(std::move(req), now);
     admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.admitted);
     metrics::GaugeAdd(m_.queue_depth, 1);
   }
   cv_.notify_one();
@@ -218,16 +217,14 @@ void TransactionService::WorkerLoop() {
             &entry, now, config_.max_steer_delay_ns,
             predictor_->config().score_threshold, config_.steer_scan_limit,
             [this, now](const std::unique_ptr<Request>& r) {
-              metrics::Inc(m_.sched_predictions);
+              sched_predictions_.fetch_add(1, std::memory_order_relaxed);
               return predictor_->InflightScore(r->footprint, now);
             },
             [this](const std::unique_ptr<Request>& r) {
-              metrics::Inc(m_.sched_steer_delays);
+              sched_steer_delays_.fetch_add(1, std::memory_order_relaxed);
               if (!r->steered) {
                 r->steered = true;  // flagged once per request
                 steer_delayed_.fetch_add(1, std::memory_order_relaxed);
-                metrics::Inc(m_.steer_delayed);
-                metrics::Inc(m_.sched_flagged);
               }
             });
       } else {
@@ -250,7 +247,6 @@ void TransactionService::WorkerLoop() {
     if (config_.max_queue_age_ns > 0 && age_ns > config_.max_queue_age_ns &&
         entry.item->dispatches == 0) {
       expired_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.expired);
       Complete(std::move(entry.item),
                Status::Overloaded("queue age deadline exceeded"), dispatch_ns,
                NowNanos());
@@ -259,7 +255,7 @@ void TransactionService::WorkerLoop() {
 
     Request& req = *entry.item;
     ++req.dispatches;
-    metrics::Inc(m_.dispatches_policy);
+    dispatches_.fetch_add(1, std::memory_order_relaxed);
     // The footprint is copied out of the request before the run: on the
     // async path the ack (which owns and may free the request) can fire
     // inline or on the epoch thread before RunTxnAsync returns.
@@ -283,13 +279,10 @@ void TransactionService::WorkerLoop() {
           [this, raw, dispatch_ns](const Status& st) {
             std::unique_ptr<Request> owned(raw);
             completed_.fetch_add(1, std::memory_order_relaxed);
-            metrics::Inc(m_.completed);
             if (st.ok()) {
               completed_ok_.fetch_add(1, std::memory_order_relaxed);
-              metrics::Inc(m_.completed_ok);
             }
             async_acks_.fetch_add(1, std::memory_order_relaxed);
-            metrics::Inc(m_.async_acks);
             Complete(std::move(owned), st, dispatch_ns, NowNanos());
             // Decrement and notify under ack_mu_: Shutdown's waiter can
             // only observe zero while holding the lock, so it cannot return
@@ -341,7 +334,6 @@ void TransactionService::WorkerLoop() {
         // kFifo it rejoins at the back with a fresh seq.
         queue_.Requeue(std::move(entry));
         requeues_.fetch_add(1, std::memory_order_relaxed);
-        metrics::Inc(m_.requeues);
         metrics::GaugeAdd(m_.queue_depth, 1);
         lk.unlock();
         cv_.notify_one();
@@ -349,13 +341,10 @@ void TransactionService::WorkerLoop() {
       }
     }
     completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.completed);
     if (s.ok()) {
       completed_ok_.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.completed_ok);
     }
     sync_acks_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.sync_acks);
     Complete(std::move(entry.item), std::move(s), dispatch_ns, NowNanos());
   }
 }
@@ -365,11 +354,10 @@ void TransactionService::Complete(std::unique_ptr<Request> req, Status status,
   if (req->steered) {
     // Hit/false-positive accounting: every flagged request reaches Complete
     // exactly once, so sched.hits + sched.false_positives == sched.flagged.
-    if (req->saw_conflict || status.IsDeadlock() || status.IsLockTimeout()) {
-      metrics::Inc(m_.sched_hits);
-    } else {
-      metrics::Inc(m_.sched_false_positives);
-    }
+    (req->saw_conflict || status.IsDeadlock() || status.IsLockTimeout()
+         ? sched_hits_
+         : sched_false_positives_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   metrics::Observe(m_.latency_ns, done_ns - req->submit_ns);
   if (!req->done) return;

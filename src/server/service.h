@@ -102,7 +102,8 @@ class TransactionService {
  public:
   using DoneFn = std::function<void(const Response&)>;
 
-  /// Totals since construction (mirrored into tdp::metrics as server.*).
+  /// Totals since construction (the atomics the registry reports as
+  /// server.*).
   struct Stats {
     uint64_t submitted = 0;
     uint64_t admitted = 0;
@@ -213,7 +214,20 @@ class TransactionService {
   std::atomic<uint64_t> submitted_{0}, admitted_{0}, shed_{0},
       rejected_recovering_{0}, expired_{0}, requeues_{0}, completed_{0},
       completed_ok_{0}, drain_aborted_{0}, async_acks_{0}, sync_acks_{0},
-      steer_delayed_{0};
+      steer_delayed_{0}, dispatches_{0};
+  // Conflict-predictive steering (docs/scheduling.md). Invariant under
+  // kConflictAware: sched.hits + sched.false_positives == sched.flagged
+  // (sched.flagged publishes steer_delayed_).
+  std::atomic<uint64_t> sched_predictions_{0}, sched_steer_delays_{0},
+      sched_hits_{0}, sched_false_positives_{0};
+  // Routing tier over a sharded engine (docs/sharding.md). Invariant:
+  // shard.routed_single + shard.routed_cross == admitted footprinted
+  // requests (unfootprinted requests are unroutable and counted in
+  // neither).
+  std::atomic<uint64_t> routed_single_{0}, routed_cross_{0};
+  /// Publishes the counters above as server.*, sched.* and shard.routed_*
+  /// (declared after them).
+  const metrics::CounterSources counters_;
 
   // Async-ack drain barrier: Shutdown joins the workers, then waits here
   // until every ack handed to an epoch has fired (the engine's epoch thread
@@ -224,32 +238,6 @@ class TransactionService {
   std::condition_variable ack_cv_;
 
   struct MetricHandles {
-    metrics::Counter* submitted = nullptr;
-    metrics::Counter* admitted = nullptr;
-    metrics::Counter* shed = nullptr;
-    metrics::Counter* rejected_recovering = nullptr;
-    metrics::Counter* expired = nullptr;
-    metrics::Counter* requeues = nullptr;
-    metrics::Counter* completed = nullptr;
-    metrics::Counter* completed_ok = nullptr;
-    metrics::Counter* drain_aborted = nullptr;
-    metrics::Counter* async_acks = nullptr;
-    metrics::Counter* sync_acks = nullptr;
-    metrics::Counter* dispatches_policy = nullptr;
-    // Conflict-predictive steering (docs/scheduling.md). Invariant under
-    // kConflictAware: sched.hits + sched.false_positives == sched.flagged.
-    metrics::Counter* steer_delayed = nullptr;       ///< server.steer_delayed
-    metrics::Counter* sched_predictions = nullptr;   ///< sched.predictions
-    metrics::Counter* sched_flagged = nullptr;       ///< sched.flagged
-    metrics::Counter* sched_steer_delays = nullptr;  ///< sched.steer_delays
-    metrics::Counter* sched_hits = nullptr;          ///< sched.hits
-    metrics::Counter* sched_false_positives = nullptr;  ///< sched.false_positives
-    // Routing tier over a sharded engine (docs/sharding.md). Invariant:
-    // shard.routed_single + shard.routed_cross == admitted footprinted
-    // requests (unfootprinted requests are unroutable and counted in
-    // neither).
-    metrics::Counter* routed_single = nullptr;  ///< shard.routed_single
-    metrics::Counter* routed_cross = nullptr;   ///< shard.routed_cross
     metrics::Gauge* queue_depth = nullptr;
     Histogram* queue_age_ns = nullptr;
     Histogram* latency_ns = nullptr;

@@ -93,11 +93,8 @@ size_t VoltMini::QueueDepth() const {
 }
 
 void VoltMini::WorkerLoop(int worker_index) {
-  metrics::Counter* busy_ns =
-      worker_index >= 0 &&
-              worker_index < static_cast<int>(m_.worker_busy_ns.size())
-          ? m_.worker_busy_ns[worker_index]
-          : nullptr;
+  metrics::Counter* const busy_ns =
+      m_.worker_busy_ns[static_cast<size_t>(worker_index)];
   for (;;) {
     Task task;
     {

@@ -91,8 +91,7 @@ class VoltMini {
   VoltMiniConfig config_;
   storage::Catalog catalog_;
 
-  // Registry handles (null when metrics are disarmed or compiled out). The
-  // queue gauge tracks live depth (+1 submit, -1 dequeue); the wait/exec
+  // Registry-owned handles, interned at construction. The queue gauge tracks live depth (+1 submit, -1 dequeue); the wait/exec
   // histograms publish the Ticket decomposition the paper's Fig. 7 uses;
   // per-worker busy-time counters expose scheduling skew across the pool.
   struct MetricHandles {

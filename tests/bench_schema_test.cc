@@ -69,9 +69,6 @@ TEST(BenchSchemaTest, SmokeSuiteCoversAllEngines) {
 }
 
 TEST(BenchSchemaTest, SmokeSuiteInvariantsHold) {
-#ifdef TDP_METRICS_DISABLED
-  GTEST_SKIP() << "metrics compiled out";
-#endif
   const std::vector<std::string> problems =
       tools::CheckInvariants(SmokeDoc());
   for (const std::string& p : problems)
@@ -79,9 +76,6 @@ TEST(BenchSchemaTest, SmokeSuiteInvariantsHold) {
 }
 
 TEST(BenchSchemaTest, LockGrantsMatchTxnObservedAcquisitions) {
-#ifdef TDP_METRICS_DISABLED
-  GTEST_SKIP() << "metrics compiled out";
-#endif
   for (const json::Value& e : SmokeDoc().Find("experiments")->items()) {
     const std::string engine = e.Find("engine")->as_string();
     const std::string name = e.Find("name")->as_string();
@@ -100,9 +94,6 @@ TEST(BenchSchemaTest, LockGrantsMatchTxnObservedAcquisitions) {
 }
 
 TEST(BenchSchemaTest, WalBytesAreWholeBlocksAndRedoBytesBalance) {
-#ifdef TDP_METRICS_DISABLED
-  GTEST_SKIP() << "metrics compiled out";
-#endif
   for (const json::Value& e : SmokeDoc().Find("experiments")->items()) {
     const std::string engine = e.Find("engine")->as_string();
     const std::string name = e.Find("name")->as_string();

@@ -127,9 +127,6 @@ TEST(FaultChaosTest, DisarmedInjectorChangesNothing) {
 }
 
 TEST(FaultChaosTest, RegistryMirrorsInjectorStats) {
-#ifdef TDP_METRICS_DISABLED
-  GTEST_SKIP() << "metrics compiled out";
-#else
   metrics::Registry::Global().ResetAll();  // quiesced: private deltas below
 
   // Latency spikes plus probabilistic write errors on the log device: the
@@ -182,7 +179,6 @@ TEST(FaultChaosTest, RegistryMirrorsInjectorStats) {
             db.redo_log().stats().degraded_commits.load());
   EXPECT_EQ(snap.counter("buf.io_retries"),
             db.buffer_pool().stats().io_retries.load());
-#endif
 }
 
 }  // namespace

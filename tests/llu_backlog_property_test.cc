@@ -22,9 +22,6 @@ using LluParam = std::tuple<uint64_t, lock::SchedulerPolicy>;
 class LluBacklogPropertyTest : public ::testing::TestWithParam<LluParam> {};
 
 TEST_P(LluBacklogPropertyTest, BacklogBoundedAndDrainedAtQuiesce) {
-#ifdef TDP_METRICS_DISABLED
-  GTEST_SKIP() << "metrics compiled out";
-#else
   const auto [seed, policy] = GetParam();
   metrics::Registry& reg = metrics::Registry::Global();
   // Quiesced here, so ResetAll gives this run a private watermark.
@@ -66,7 +63,6 @@ TEST_P(LluBacklogPropertyTest, BacklogBoundedAndDrainedAtQuiesce) {
   EXPECT_EQ(snap.counter("buf.llu.spin_timeouts"), deferred);
   EXPECT_LE(snap.counter("buf.llu.drained") + snap.counter("buf.llu.dropped"),
             deferred);
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(

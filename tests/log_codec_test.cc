@@ -160,7 +160,6 @@ TEST(LogCodecTest, CorruptionStopsAtLastValidPrefix) {
   EXPECT_EQ(out[0].lsn, 1u);
 }
 
-#ifndef TDP_METRICS_DISABLED
 TEST(LogCodecTest, DecodePublishesRecoveryMetrics) {
   metrics::Registry::Global().ResetAll();
   std::vector<uint8_t> image = SampleImage(2);
@@ -178,7 +177,6 @@ TEST(LogCodecTest, DecodePublishesRecoveryMetrics) {
   EXPECT_EQ(snap.counter("recovery.torn_tails"), 1u);
   EXPECT_EQ(snap.counter("recovery.data_loss"), 1u);
 }
-#endif
 
 }  // namespace
 }  // namespace tdp::log

@@ -1,6 +1,7 @@
 // Correctness of the tdp::metrics registry itself: exact concurrent sums,
-// torn-safe snapshots while writers run, and the disarmed registry's
-// no-allocation guarantee (docs/metrics.md).
+// torn-safe snapshots while writers run, and the instance-owned counter
+// model — live sources sum, destroyed sources retire their totals, ResetAll
+// rebases without touching any instance (docs/metrics.md).
 #include "common/metrics.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +14,6 @@
 
 namespace tdp::metrics {
 namespace {
-
-#ifndef TDP_METRICS_DISABLED
 
 TEST(MetricsRegistryTest, InterningReturnsStableHandles) {
   Registry r;
@@ -156,29 +155,6 @@ TEST(MetricsRegistryTest, DeltaSubtractsExactly) {
   EXPECT_EQ(delta.histogram("test.h").count, 1u);
 }
 
-TEST(MetricsRegistryTest, DisarmedRegistryInternsNothing) {
-  Registry r;
-  Counter* armed = r.GetCounter("test.before");
-  ASSERT_NE(armed, nullptr);
-  r.SetArmed(false);
-  // Disarmed acquisition returns null and allocates no registry entry.
-  EXPECT_EQ(r.GetCounter("test.skipped"), nullptr);
-  EXPECT_EQ(r.GetGauge("test.skipped"), nullptr);
-  EXPECT_EQ(r.GetHistogram("test.skipped"), nullptr);
-  EXPECT_EQ(r.size(), 1u);
-  // The helpers tolerate null handles: these must be no-ops, not crashes.
-  Inc(nullptr);
-  GaugeAdd(nullptr, 1);
-  Observe(nullptr, 1);
-  // Handles acquired while armed keep working after disarm (arming is
-  // sampled at acquisition time only).
-  Inc(armed, 5);
-  EXPECT_EQ(armed->value(), 5u);
-  r.SetArmed(true);
-  EXPECT_NE(r.GetCounter("test.after"), nullptr);
-  EXPECT_EQ(r.size(), 2u);
-}
-
 TEST(MetricsRegistryTest, ResetAllZeroesButKeepsHandles) {
   Registry r;
   Counter* c = r.GetCounter("test.c");
@@ -196,20 +172,111 @@ TEST(MetricsRegistryTest, ResetAllZeroesButKeepsHandles) {
   EXPECT_EQ(r.TakeSnapshot().counter("test.c"), 1u);
 }
 
-#else  // TDP_METRICS_DISABLED
-
-TEST(MetricsRegistryTest, CompiledOutRegistryAllocatesNothing) {
+TEST(MetricsRegistryTest, LiveSourcesUnderOneNameSumExactly) {
   Registry r;
-  EXPECT_EQ(r.GetCounter("test.a"), nullptr);
-  EXPECT_EQ(r.GetGauge("test.a"), nullptr);
-  EXPECT_EQ(r.GetHistogram("test.a"), nullptr);
-  EXPECT_EQ(r.size(), 0u);
-  Inc(nullptr);
-  GaugeAdd(nullptr, 1);
-  Observe(nullptr, 1);
+  std::atomic<uint64_t> a{0}, b{0};
+  CounterSources sa({{"test.events", &a}}, r);
+  CounterSources sb({{"test.events", &b}, {"test.alias", &b}}, r);
+  a.fetch_add(3);
+  b.fetch_add(4);
+  const MetricsSnapshot snap = r.TakeSnapshot();
+  EXPECT_EQ(snap.counter("test.events"), 7u);
+  // One atomic may publish the same event under two names.
+  EXPECT_EQ(snap.counter("test.alias"), 4u);
+  EXPECT_EQ(r.size(), 2u);
 }
 
-#endif
+TEST(MetricsRegistryTest, DestroyedSourceKeepsTheNameTotal) {
+  Registry r;
+  std::atomic<uint64_t> survivor{0};
+  CounterSources keep({{"test.events", &survivor}}, r);
+  survivor.fetch_add(2);
+  const MetricsSnapshot before = r.TakeSnapshot();
+  {
+    std::atomic<uint64_t> gone{0};
+    CounterSources temp({{"test.events", &gone}}, r);
+    gone.fetch_add(5);
+  }
+  survivor.fetch_add(1);
+  const MetricsSnapshot after = r.TakeSnapshot();
+  EXPECT_EQ(after.counter("test.events"), 8u);
+  // A delta across the destruction still sees every event (no clamp to 0).
+  EXPECT_EQ(MetricsSnapshot::Delta(before, after).counter("test.events"), 6u);
+  // The name stays interned with nothing live behind it.
+  std::atomic<uint64_t> late{0};
+  { CounterSources gone_too({{"test.only_retired", &late}}, r); }
+  EXPECT_EQ(r.TakeSnapshot().counters.count("test.only_retired"), 1u);
+}
+
+TEST(MetricsRegistryTest, ResetAllRebasesWithoutTouchingInstances) {
+  Registry r;
+  std::atomic<uint64_t> live{0};
+  CounterSources sources({{"test.events", &live}}, r);
+  live.fetch_add(9);
+  {
+    std::atomic<uint64_t> retired{0};
+    CounterSources temp({{"test.events", &retired}}, r);
+    retired.fetch_add(4);
+  }
+  EXPECT_EQ(r.TakeSnapshot().counter("test.events"), 13u);
+  r.ResetAll();
+  EXPECT_EQ(live.load(), 9u);  // the instance's own count is untouched
+  EXPECT_EQ(r.TakeSnapshot().counter("test.events"), 0u);
+  live.fetch_add(2);
+  EXPECT_EQ(r.TakeSnapshot().counter("test.events"), 2u);
+}
+
+TEST(MetricsRegistryTest, ConcurrentAttachDetachIncrementSnapshotIsExact) {
+  Registry r;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  constexpr uint64_t kPerRound = 500;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    uint64_t prev = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t now = r.TakeSnapshot().counter("test.events");
+      ASSERT_GE(now, prev);  // totals never go down, detaches included
+      prev = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&r] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::atomic<uint64_t> own{0};
+        CounterSources sources({{"test.events", &own}}, r);
+        for (uint64_t i = 0; i < kPerRound; ++i) {
+          own.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(r.TakeSnapshot().counter("test.events"),
+            kThreads * kRounds * kPerRound);
+}
+
+TEST(MetricsRegistryDeathTest, NameIsNeverBothRegistryAndInstanceOwned) {
+  EXPECT_DEATH(
+      {
+        Registry r;
+        r.GetCounter("test.mixed");
+        std::atomic<uint64_t> own{0};
+        CounterSources sources({{"test.mixed", &own}}, r);
+      },
+      "both registry-owned and instance-owned");
+  EXPECT_DEATH(
+      {
+        Registry r;
+        std::atomic<uint64_t> own{0};
+        { CounterSources sources({{"test.mixed", &own}}, r); }
+        r.GetCounter("test.mixed");
+      },
+      "both registry-owned and instance-owned");
+}
 
 }  // namespace
 }  // namespace tdp::metrics

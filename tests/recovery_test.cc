@@ -192,9 +192,7 @@ TEST(RecoveryTest, ConcurrentTransfersRecoverConsistently) {
 // exactly the durable prefix — while the injector's event counters and the
 // RetryIo-side retry counters stay in exact agreement.
 TEST(RecoveryFaultComboTest, TornFlushRecoversExactlyTheDurablePrefix) {
-#ifndef TDP_METRICS_DISABLED
   metrics::Registry::Global().ResetAll();  // quiesced: private deltas below
-#endif
   FaultInjector inj;
   // Torn with certainty for the whole phase-2 window, so every flush
   // attempt fails and every phase-2 commit degrades.
@@ -254,7 +252,6 @@ TEST(RecoveryFaultComboTest, TornFlushRecoversExactlyTheDurablePrefix) {
   // the background flusher lost to the same window.
   EXPECT_GE(inj.stats().torn_flushes.load(),
             static_cast<uint64_t>(2 * (kRows - kDurable)));
-#ifndef TDP_METRICS_DISABLED
   const metrics::MetricsSnapshot snap =
       metrics::Registry::Global().TakeSnapshot();
   EXPECT_EQ(snap.counter("fault.torn_flushes"),
@@ -268,7 +265,6 @@ TEST(RecoveryFaultComboTest, TornFlushRecoversExactlyTheDurablePrefix) {
   EXPECT_EQ(snap.counter("io.retries"), snap.counter("log.io_retries"));
   EXPECT_EQ(snap.counter("log.degraded_commits"),
             static_cast<uint64_t>(kRows - kDurable));
-#endif
 }
 
 // Checkpoint + log-suffix recovery on the mysql engine: restoring the

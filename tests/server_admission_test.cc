@@ -677,8 +677,8 @@ TEST(TransactionServiceTest, RoutingTierClassifiesFootprintsByShardMask) {
   for (uint64_t k = 0; k < 64; ++k) db->BulkUpsert(table, k, storage::Row{0});
 
   auto& reg = metrics::Registry::Global();
-  const uint64_t single0 = reg.GetCounter("shard.routed_single")->value();
-  const uint64_t cross0 = reg.GetCounter("shard.routed_cross")->value();
+  const uint64_t single0 = reg.TakeSnapshot().counter("shard.routed_single");
+  const uint64_t cross0 = reg.TakeSnapshot().counter("shard.routed_cross");
 
   // One key per footprint: necessarily single-shard. Two keys on different
   // shards: cross. The service's door classifies from the declared
@@ -725,8 +725,8 @@ TEST(TransactionServiceTest, RoutingTierClassifiesFootprintsByShardMask) {
   }
   svc.Shutdown();
 
-  EXPECT_EQ(reg.GetCounter("shard.routed_single")->value() - single0, 2u);
-  EXPECT_EQ(reg.GetCounter("shard.routed_cross")->value() - cross0, 1u);
+  EXPECT_EQ(reg.TakeSnapshot().counter("shard.routed_single") - single0, 2u);
+  EXPECT_EQ(reg.TakeSnapshot().counter("shard.routed_cross") - cross0, 1u);
 }
 
 // The expiry-after-prepare hazard (docs/sharding.md): a cross-shard request

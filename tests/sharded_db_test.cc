@@ -109,6 +109,44 @@ TEST(ShardedDbTest, CrossShardCommitRuns2PCAndApplies) {
   ASSERT_TRUE(check->Commit().ok());
 }
 
+// Each shard's lock manager and redo log own their counters; the registry
+// name is the sum over the live shards, and destroying the database keeps
+// every shard's final count in the name's total.
+TEST(ShardedDbTest, RegistryTotalsAreTheSumOfPerShardCounts) {
+  auto& reg = metrics::Registry::Global();
+  const metrics::MetricsSnapshot before = reg.TakeSnapshot();
+  uint64_t commits = 0;
+  uint64_t grants = 0;
+  {
+    ShardedDatabase db(FastConfig(4));
+    const uint32_t t = db.CreateTable("acct", 64);
+    for (uint64_t k = 0; k < 64; ++k) db.BulkUpsert(t, k, storage::Row{0});
+    auto conn = db.Connect();
+    for (uint64_t k = 0; k + 1 < 64; k += 4) {  // single- and cross-shard
+      ASSERT_TRUE(conn->Begin().ok());
+      ASSERT_TRUE(conn->Update(t, k, 0, 1).ok());
+      if (k % 8 == 0) {
+        ASSERT_TRUE(conn->Update(t, k + 1, 0, 1).ok());
+      }
+      ASSERT_TRUE(conn->Commit().ok());
+    }
+    for (int s = 0; s < db.num_shards(); ++s) {
+      commits += db.shard(s)->redo_log().stats().commits.load();
+      grants += db.shard(s)->lock_manager().stats().grants_total.load();
+    }
+    const metrics::MetricsSnapshot live =
+        metrics::MetricsSnapshot::Delta(before, reg.TakeSnapshot());
+    EXPECT_GT(commits, 0u);
+    EXPECT_GT(grants, 0u);
+    EXPECT_EQ(live.counter("log.commits"), commits);
+    EXPECT_EQ(live.counter("lock.grants.total"), grants);
+  }
+  const metrics::MetricsSnapshot retired =
+      metrics::MetricsSnapshot::Delta(before, reg.TakeSnapshot());
+  EXPECT_EQ(retired.counter("log.commits"), commits);
+  EXPECT_EQ(retired.counter("lock.grants.total"), grants);
+}
+
 TEST(ShardedDbTest, ReadOnlyCrossShardCommitSkips2PC) {
   ShardedDatabase db(FastConfig(2));
   const uint32_t t = db.CreateTable("acct", 64);

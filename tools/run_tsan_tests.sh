@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build-tsan
 
 # The races worth hunting live in the lock manager, buffer pool, log/WAL
-# group commit, the fault-injection retry paths, the server layer's
+# group commit, the fault-injection retry paths (and the chaos run that
+# checks the registry against every instance's stats()), the server layer's
 # admission queue + worker pool, the tuner's engine+service lifecycles, the
 # replication layer's shipper threads + ack parking, and the sharded
 # engine's cross-shard 2PC over per-shard logs.
@@ -34,6 +35,7 @@ TESTS=(
   histogram_test
   sim_disk_test
   fault_injection_test
+  fault_chaos_test
   sharded_hash_table_test
   group_commit_test
   cats_weight_property_test
